@@ -173,12 +173,11 @@ def ritz_pairs(d):
     """
     if d.steps < 1:
         raise ValueError("empty decomposition")
-    eig = dense.hessenberg_eig(d.square_hess)
+    theta, Z = dense.hessenberg_eig(d.square_hess)
     hlast = 0.0 if d.exact else float(d.hess[d.steps, d.steps - 1].real)
     pairs = [
-        RitzPair(theta=complex(eig.eigenvalues[i]),
-                 z=eig.right_vectors[:, i],
-                 residual_estimate=abs(hlast * eig.right_vectors[-1, i]))
+        RitzPair(theta=complex(theta[i]), z=Z[:, i],
+                 residual_estimate=abs(hlast * Z[-1, i]))
         for i in range(d.steps)
     ]
     pairs.sort(key=lambda rp: rp.residual_estimate)

@@ -18,13 +18,16 @@ from functools import cached_property
 import numpy as np
 
 from . import rank_lu
-from .errors import DimensionMismatch, SingPencilError
+from .errors import DimensionMismatch, NonFiniteInput, SingPencilError
 from .sparse import SparseMatrix, add_scaled, adjoint, norm_estimate, spmv, spmv_adjoint
 
 
 @dataclass(frozen=True)
 class Pencil:
-    """A (possibly singular or rectangular) matrix pencil ``A - lambda B``."""
+    """A (possibly singular or rectangular) matrix pencil ``A - lambda B``.
+
+    Raises :class:`NonFiniteInput` when A or B holds an inf or NaN entry.
+    """
 
     A: SparseMatrix
     B: SparseMatrix
@@ -32,6 +35,9 @@ class Pencil:
     def __post_init__(self):
         if self.A.shape != self.B.shape:
             raise DimensionMismatch(f"pencil matrices differ in shape: {self.A.shape} vs {self.B.shape}")
+        for name, M in (("A", self.A), ("B", self.B)):
+            if not np.isfinite(M.values).all():
+                raise NonFiniteInput(f"pencil matrix {name} has a non-finite entry")
 
     @property
     def nrows(self):
@@ -144,13 +150,6 @@ def regularize(p, sigma, tau):
                           shift=sigma, lu=lu, adjoint_factored=adj)
 
 
-def make_square_rectangular(p, sigma, tau):
-    """Regularize a rectangular pencil (identical pipeline; asserts shape)."""
-    if p.is_square:
-        raise DimensionMismatch("make_square_rectangular expects nrows != ncols")
-    return regularize(p, sigma, tau)
-
-
 class PMatrix:
     """Positive semi-definite inner product ``<x, y> = x* P y``.
 
@@ -231,11 +230,6 @@ class ShiftInvertOperator:
 
     direction == "forward"
         ``S v = M^{-1} (B_hat v)`` with ``M`` the shifted bordered matrix.
-    direction == "adjoint"
-        The adjoint operator ``S* v = B_hat* (M^{-*} v)``; satisfies
-        ``<S v, u> == <v, S* u>``.  Its range has identically zero border
-        coordinates, so it is a consistency tool, not a left-eigenvector
-        engine.
     direction == "transposed_pencil"
         ``M^{-*} (B_hat* v)``: the shift-and-invert operator of the
         conjugate-transposed bordered pencil.  Its eigenvectors are the
@@ -247,7 +241,7 @@ class ShiftInvertOperator:
     __slots__ = ("bordered", "direction")
 
     def __init__(self, bordered, direction="forward"):
-        if direction not in ("forward", "adjoint", "transposed_pencil"):
+        if direction not in ("forward", "transposed_pencil"):
             raise ValueError(f"unknown direction {direction!r}")
         self.bordered = bordered
         self.direction = direction
@@ -263,14 +257,4 @@ class ShiftInvertOperator:
         bp = self.bordered
         if self.direction == "forward":
             return bp.solve_shifted(spmv(bp.b_matrix, v))
-        if self.direction == "adjoint":
-            return spmv_adjoint(bp.b_matrix, bp.solve_shifted_adjoint(v))
         return bp.solve_shifted_adjoint(spmv_adjoint(bp.b_matrix, v))
-
-    def __call__(self, v):
-        return self.apply(v)
-
-
-def apply_shift_invert(S, v):
-    """Functional form of :meth:`ShiftInvertOperator.apply`."""
-    return S.apply(v)

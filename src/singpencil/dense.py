@@ -33,10 +33,9 @@ class DenseEig:
     """Eigenvalues with unit-norm right and left eigenvector columns.
 
     ``eigenvalues[i]`` is ``inf`` when ``infinite[i]`` is set.  ``thetas``
-    holds the raw eigenvalues of the inverted operator when the
-    factorization came from a shift-and-invert construction (otherwise it
-    equals ``eigenvalues``).  ``ambiguous[i]`` marks left/right pairings
-    that had a second candidate closer than ``PAIRING_FLAG_TOL``.
+    holds the raw eigenvalues of the inverted operator, with
+    ``eigenvalues = sigma + 1/thetas``.  ``ambiguous[i]`` marks left/right
+    pairings that had a second candidate closer than ``PAIRING_FLAG_TOL``.
     """
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
@@ -59,8 +58,8 @@ def _phase_fix(Q, R):
     return Q, R
 
 
-def qr(M, mode="economy"):
-    """Householder QR of a tall or square dense matrix.
+def qr(M):
+    """Economy Householder QR of a tall or square dense matrix.
 
     Deterministic sign convention: the diagonal of R is real nonnegative.
     Rank-deficient input is allowed (R simply gets small or zero diagonal
@@ -69,9 +68,7 @@ def qr(M, mode="economy"):
     M = np.asarray(M, dtype=np.complex128)
     if M.ndim != 2 or M.shape[0] < M.shape[1]:
         raise DimensionMismatch("qr expects a 2-d matrix with nrows >= ncols")
-    if mode not in ("economy", "full"):
-        raise ValueError(f"unknown qr mode {mode!r}")
-    Q, R = np.linalg.qr(M, mode="reduced" if mode == "economy" else "complete")
+    Q, R = np.linalg.qr(M, mode="reduced")
     Q, R = _phase_fix(Q, R)
     return DenseQR(Q=Q, R=np.triu(R))
 
@@ -126,11 +123,11 @@ def _unit_columns(V):
 
 
 def hessenberg_eig(H):
-    """Eigenpairs of a square upper Hessenberg matrix.
+    """Eigenvalues and unit-norm right eigenvector columns of a square
+    upper Hessenberg matrix.
 
     Output is sorted by descending modulus (ties: descending real part,
-    then descending imaginary part) so dominant values come first.  Left
-    eigenvectors come from the adjoint problem and are paired greedily.
+    then descending imaginary part) so dominant values come first.
     """
     H = np.asarray(H, dtype=np.complex128)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -139,20 +136,8 @@ def hessenberg_eig(H):
     if n > 2 and np.any(np.tril(H, -2) != 0.0):
         raise DimensionMismatch("matrix is not upper Hessenberg")
     theta, Z = _eig(H, "hessenberg_eig")
-    theta_l_raw, Y = _eig(H.conj().T, "hessenberg_eig(adjoint)")
-    theta_l = np.conj(theta_l_raw)
-
     order = _sort_order(theta)
-    theta, Z = theta[order], Z[:, order]
-    match, ambiguous = _greedy_pair(theta, theta_l)
-    return DenseEig(
-        eigenvalues=theta,
-        right_vectors=_unit_columns(Z),
-        left_vectors=_unit_columns(Y[:, match]),
-        infinite=np.zeros(n, dtype=bool),
-        thetas=theta,
-        ambiguous=ambiguous,
-    )
+    return theta[order], _unit_columns(Z[:, order])
 
 
 def small_generalized_eig(Ah, Bh, sigma=0.0):

@@ -9,6 +9,10 @@ class DimensionMismatch(SingPencilError):
     """Operands have incompatible shapes."""
 
 
+class NonFiniteInput(SingPencilError):
+    """A pencil matrix holds an inf or NaN entry."""
+
+
 class FactorizationError(SingPencilError):
     """The rank-detecting LU could not be formed or applied."""
 

@@ -7,6 +7,8 @@ Values are written with 17 significant digits so a write/read round trip is
 exact.
 """
 
+import warnings
+
 import numpy as np
 
 from .errors import SingPencilError
@@ -18,7 +20,13 @@ class MatrixMarketError(SingPencilError):
 
 
 def read_matrix_market(path):
-    """Load a coordinate-format file into a :class:`SparseMatrix`."""
+    """Load a coordinate-format file into a :class:`SparseMatrix`.
+
+    Raises :class:`MatrixMarketError` for a bad banner or size line, an
+    entry line with the wrong number of fields, an index that is not an
+    integer in ``[1, nrows]`` / ``[1, ncols]``, a non-finite value, or an
+    entry count that differs from the size line.
+    """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline()
         if not header.startswith("%%MatrixMarket"):
@@ -39,33 +47,33 @@ def read_matrix_market(path):
             line = fh.readline()
         if not line:
             raise MatrixMarketError(f"{path}: missing size line")
-        parts = line.split()
-        if len(parts) != 3:
-            raise MatrixMarketError(f"{path}: malformed size line {line!r}")
-        nrows, ncols, nnz = (int(p) for p in parts)
+        try:
+            nrows, ncols, nnz = (int(p) for p in line.split())
+        except ValueError:
+            raise MatrixMarketError(f"{path}: malformed size line {line!r}") from None
+        if min(nrows, ncols, nnz) < 0:
+            raise MatrixMarketError(f"{path}: negative size in {line!r}")
 
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz, dtype=np.complex128)
-        want = 4 if field == "complex" else 3
-        k = 0
-        for line in fh:
-            if line.startswith("%") or not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != want:
-                raise MatrixMarketError(f"{path}: malformed entry line {line!r}")
-            if k >= nnz:
-                raise MatrixMarketError(f"{path}: more entries than declared")
-            rows[k] = int(parts[0]) - 1
-            cols[k] = int(parts[1]) - 1
-            if field == "complex":
-                vals[k] = complex(float(parts[2]), float(parts[3]))
-            else:
-                vals[k] = float(parts[2])
-            k += 1
-        if k != nnz:
-            raise MatrixMarketError(f"{path}: expected {nnz} entries, found {k}")
+        dtype = [("row", np.int64), ("col", np.int64), ("re", np.float64)]
+        if field == "complex":
+            dtype.append(("im", np.float64))
+        try:
+            with warnings.catch_warnings():
+                # an empty body is valid when nnz == 0; the count check follows
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, dtype=dtype, comments="%", ndmin=1)
+        except ValueError as exc:
+            raise MatrixMarketError(f"{path}: malformed entry: {exc}") from None
+    if data.size != nnz:
+        raise MatrixMarketError(f"{path}: expected {nnz} entries, found {data.size}")
+    rows, cols = data["row"] - 1, data["col"] - 1
+    if nnz and (rows.min() < 0 or rows.max() >= nrows or cols.min() < 0 or cols.max() >= ncols):
+        raise MatrixMarketError(f"{path}: entry index outside the {nrows}x{ncols} matrix")
+    vals = np.empty(nnz, dtype=np.complex128)
+    vals.real = data["re"]
+    vals.imag = data["im"] if field == "complex" else 0.0
+    if not np.isfinite(vals).all():
+        raise MatrixMarketError(f"{path}: non-finite entry value")
     return SparseMatrix.from_coo(nrows, ncols, rows, cols, vals)
 
 
@@ -82,15 +90,14 @@ def write_matrix_market(path, M, field=None, comment=None):
     if field == "real" and M.nnz and np.any(M.values.imag != 0.0):
         raise MatrixMarketError("matrix has imaginary entries; cannot write field 'real'")
     rows, cols, vals = M.coo()
+    columns = [rows + 1, cols + 1, vals.real]
+    if field == "complex":
+        columns.append(vals.imag)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"%%MatrixMarket matrix coordinate {field} general\n")
         if comment:
             for ln in str(comment).splitlines():
                 fh.write(f"% {ln}\n")
         fh.write(f"{M.nrows} {M.ncols} {M.nnz}\n")
-        if field == "complex":
-            for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
-                fh.write(f"{r + 1} {c + 1} {v.real:.17g} {v.imag:.17g}\n")
-        else:
-            for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
-                fh.write(f"{r + 1} {c + 1} {v.real:.17g}\n")
+        # indices stay exact as float64 below 2**53; %.17g round-trips a double
+        np.savetxt(fh, np.column_stack(columns), fmt=["%d", "%d"] + ["%.17g"] * (len(columns) - 2))

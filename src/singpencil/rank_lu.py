@@ -16,15 +16,12 @@ rounding).  The number of breakdowns reveals the numerical rank of M.
 """
 
 import heapq
-import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, FactorizationError
-from .mmio import write_matrix_market
-from .sparse import Permutation, SparseMatrix, two_norm_estimate
+from .sparse import SparseMatrix, two_norm_estimate
 
 
 @dataclass(frozen=True)
@@ -32,13 +29,14 @@ class RankLU:
     """Factorization record of the bordered matrix.
 
     ``P @ [[M, W], [V*, 0]] == L @ U`` with L unit lower triangular and U
-    upper triangular with nonzero diagonal.  ``V`` has one column
+    upper triangular with nonzero diagonal.  ``perm`` stores P: row k of
+    ``P @ X`` is row ``perm[k]`` of X.  ``V`` has one column
     ``alpha * e_i`` per breakdown step i (0-based column indices of M);
     ``W`` has one column ``alpha * e_r`` per row r of M that never became a
     pivot.  ``detected_rank = ncols - len(breakdown_steps)``.
     """
 
-    P: Permutation
+    perm: np.ndarray
     L: SparseMatrix
     U: SparseMatrix
     V: SparseMatrix
@@ -50,7 +48,6 @@ class RankLU:
     detected_rank: int
     nrows: int
     ncols: int
-    _perm: np.ndarray = field(repr=False)  # pivot position -> source row
 
     @property
     def n_final(self):
@@ -233,14 +230,13 @@ def factor(M, tau):
                               np.full(wcols, alpha, dtype=np.complex128))
 
     return RankLU(
-        P=Permutation(n_final, pos_of_src[:n_final].copy()),
+        perm=perm[:n_final].copy(),
         L=L, U=U, V=V, W=W,
         alpha=float(alpha), tau=float(tau),
         breakdown_steps=steps,
         breakdown_pivots=np.array(breakdown_pivots, dtype=np.float64),
         detected_rank=int(detected_rank),
         nrows=n, ncols=m,
-        _perm=perm[:n_final].copy(),
     )
 
 
@@ -255,7 +251,7 @@ def solve(F, b):
     nf = F.n_final
     if b.size != nf:
         raise DimensionMismatch(f"solve: rhs length {b.size} != {nf}")
-    y = b[F._perm].copy()  # apply P
+    y = b[F.perm]  # apply P
     L, U = F.L, F.U
     for j in range(nf):
         yj = y[j]
@@ -292,27 +288,6 @@ def solve_adjoint(F, b):
         rows, vals = L.column(j)
         if rows.size > 1:
             z[j] -= np.vdot(vals[1:], z[rows[1:]])
-    return z[F.P.forward]  # apply P*
-
-
-def dump(F, directory):
-    """Debug dump: L, U, V, W as Matrix Market files plus a JSON manifest
-    with the permutation, scales and breakdown record."""
-    os.makedirs(directory, exist_ok=True)
-    for name, mat in (("L", F.L), ("U", F.U), ("V", F.V), ("W", F.W)):
-        write_matrix_market(os.path.join(directory, f"{name}.mtx"), mat)
-    manifest = {
-        "alpha": F.alpha,
-        "tau": F.tau,
-        "nrows": F.nrows,
-        "ncols": F.ncols,
-        "n_final": F.n_final,
-        "detected_rank": F.detected_rank,
-        "breakdown_steps": F.breakdown_steps.tolist(),
-        "breakdown_pivots": F.breakdown_pivots.tolist(),
-        "permutation_forward": F.P.forward.tolist(),
-    }
-    path = os.path.join(directory, "manifest.json")
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-    return path
+    x = np.empty_like(z)
+    x[F.perm] = z  # apply P*
+    return x

@@ -1,4 +1,4 @@
-"""Complex sparse (CSC) and permutation primitives used by every other module.
+"""Complex sparse (CSC) primitives used by every other module.
 
 All numerical data is double-precision complex; real problems are embedded.
 Compressed sparse column is the native layout because the factorization code
@@ -137,43 +137,6 @@ class SparseMatrix:
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
 
 
-class Permutation:
-    """Bijection on ``[0, size)``; ``forward[i]`` is the destination of row i."""
-
-    __slots__ = ("size", "forward")
-
-    def __init__(self, size, forward):
-        forward = np.ascontiguousarray(forward, dtype=np.int64)
-        if forward.shape != (size,):
-            raise DimensionMismatch("forward must have length size")
-        if size and not np.array_equal(np.sort(forward), np.arange(size)):
-            raise DimensionMismatch("forward must be a bijection on [0, size)")
-        forward.setflags(write=False)
-        self.size = int(size)
-        self.forward = forward
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, np.arange(n, dtype=np.int64))
-
-    def inverse(self):
-        inv = np.empty(self.size, dtype=np.int64)
-        inv[self.forward] = np.arange(self.size, dtype=np.int64)
-        return Permutation(self.size, inv)
-
-    def apply(self, x):
-        """P @ x for a vector: output[forward[i]] = x[i]."""
-        x = np.asarray(x)
-        if x.shape != (self.size,):
-            raise DimensionMismatch("vector length does not match permutation size")
-        out = np.empty_like(x)
-        out[self.forward] = x
-        return out
-
-    def __repr__(self):
-        return f"Permutation(size={self.size})"
-
-
 # -- operations -------------------------------------------------------------
 
 
@@ -204,27 +167,6 @@ def spmv_adjoint(M, y):
         cols = np.repeat(np.arange(M.ncols, dtype=np.int64), np.diff(M.col_ptr))
         np.add.at(out, cols, prods)
     return out
-
-
-def spmm(M, X):
-    """M @ X for a dense matrix X, column by column."""
-    X = np.asarray(X, dtype=np.complex128)
-    if X.ndim == 1:
-        return spmv(M, X)
-    if X.shape[0] != M.ncols:
-        raise DimensionMismatch("spmm: row count mismatch")
-    out = np.empty((M.nrows, X.shape[1]), dtype=np.complex128)
-    for j in range(X.shape[1]):
-        out[:, j] = spmv(M, X[:, j])
-    return out
-
-
-def permute_rows(P, M):
-    """P @ M with columns re-sorted to canonical CSC form."""
-    if P.size != M.nrows:
-        raise DimensionMismatch("permutation size does not match row count")
-    rows, cols, vals = M.coo()
-    return SparseMatrix.from_coo(M.nrows, M.ncols, P.forward[rows], cols, vals)
 
 
 def norm_estimate(M):

@@ -34,10 +34,10 @@ def dense_bordered(M, V, W):
     return out
 
 
-def permutation_matrix(P):
-    out = np.zeros((P.size, P.size))
-    for src, dst in enumerate(P.forward):
-        out[dst, src] = 1.0
+def permutation_matrix(perm):
+    """P with ``(P @ X)[k] == X[perm[k]]``."""
+    out = np.zeros((perm.size, perm.size))
+    out[np.arange(perm.size), perm] = 1.0
     return out
 
 

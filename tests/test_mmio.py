@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from singpencil.cli import main
 from singpencil.mmio import MatrixMarketError, read_matrix_market, write_matrix_market
 from singpencil.sparse import SparseMatrix
 
@@ -47,6 +50,45 @@ def test_read_entry_count_mismatch(tmp_path):
     p.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1\n")
     with pytest.raises(MatrixMarketError):
         read_matrix_market(p)
+
+
+def _case(name, text, expected=None):
+    return pytest.param(text, expected, id=name)
+
+
+@pytest.mark.parametrize("text,expected", [
+    _case("comments-between-entries",
+          "real general\n2 2 2\n1 1 1.5\n% between entries\n\n2 2 -2\n", [[1.5, 0], [0, -2]]),
+    _case("complex-comments", "complex general\n1 2 1\n% c\n1 2 0 -1\n% trailing\n", [[0, -1j]]),
+    _case("empty-body", "real general\n2 2 0\n", [[0, 0], [0, 0]]),
+    _case("comment-only-body", "real general\n2 2 0\n% comment only\n", [[0, 0], [0, 0]]),
+    _case("non-integral-index", "real general\n2 2 1\n1.5 1 1\n"),
+    _case("index-below-one", "real general\n2 2 1\n0 1 1\n"),
+    _case("column-beyond-ncols", "real general\n2 2 1\n1 3 1\n"),
+    _case("row-beyond-nrows", "real general\n2 2 1\n3 1 1\n"),
+    _case("nan-value", "real general\n2 2 1\n1 1 nan\n"),
+    _case("inf-value", "real general\n2 2 1\n1 1 -inf\n"),
+    _case("nan-imaginary-part", "complex general\n2 2 1\n1 1 1 nan\n"),
+    _case("entry-too-short", "real general\n2 2 1\n1 1\n"),
+    _case("entry-too-long", "real general\n2 2 1\n1 1 1 1\n"),
+    _case("complex-entry-too-short", "complex general\n2 2 1\n1 1 1\n"),
+    _case("non-integral-size", "real general\n2 2 1.5\n1 1 1\n"),
+    _case("negative-size", "real general\n2 -2 0\n"),
+    _case("more-entries-than-declared", "real general\n2 2 0\n1 1 1\n"),
+])
+def test_read_validates_entries(tmp_path, capsys, text, expected):
+    p = tmp_path / "m.mtx"
+    p.write_text("%%MatrixMarket matrix coordinate " + text)
+    if expected is None:
+        with pytest.raises(MatrixMarketError):
+            read_matrix_market(p)
+        assert main(["solve", "--a", str(p), "--b", str(p)]) == 1
+        assert "numerical failure" not in capsys.readouterr().err
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            M = read_matrix_market(p)
+        np.testing.assert_array_equal(M.to_dense(), expected)
 
 
 def test_round_trip_bitwise_complex(tmp_path, rng):

@@ -1,19 +1,16 @@
-import json
-
 import numpy as np
 import pytest
 
 from singpencil import problems, rank_lu
 from singpencil.dense import dense_rank
 from singpencil.errors import DimensionMismatch, FactorizationError
-from singpencil.mmio import read_matrix_market
 from singpencil.sparse import SparseMatrix, add_scaled
 
 from conftest import dense_bordered, permutation_matrix, random_rank_matrix
 
 
 def reconstruction_residual(F, M):
-    lhs = permutation_matrix(F.P) @ dense_bordered(M, F.V, F.W)
+    lhs = permutation_matrix(F.perm) @ dense_bordered(M, F.V, F.W)
     rhs = F.L.to_dense() @ F.U.to_dense()
     return np.abs(lhs - rhs).max()
 
@@ -43,9 +40,7 @@ def check_factorization(F, M):
             np.testing.assert_array_equal(B.row_idx, rows)
     # permutation-structure property: appended rows are always pivoted into
     # the leading block, so late positions only hold original rows
-    fwd = F.P.forward
-    for src in range(F.nrows, nf):
-        assert fwd[src] < F.ncols
+    assert np.all(np.flatnonzero(F.perm >= F.nrows) < F.ncols)
     # reconstruction
     assert reconstruction_residual(F, M) <= 1e-12 * F.alpha
 
@@ -198,26 +193,9 @@ def test_reconstruction_sampled_columns_large_sparse():
         else:
             rows, vals = F.W.column(c - m)
             col[rows] = vals
-        permuted = np.empty(nf, dtype=complex)
-        permuted[F.P.forward] = col
+        permuted = col[F.perm]
         urows, uvals = F.U.column(c)
         ucol = np.zeros(nf, dtype=complex)
         ucol[urows] = uvals
         rhs = spmv(F.L, ucol)
         assert np.abs(permuted - rhs).max() <= 1e-12 * F.alpha
-
-
-# -- debug dump -------------------------------------------------------------------
-
-def test_dump_writes_factors_and_manifest(tmp_path):
-    toy = problems.gen_kronecker_toy()
-    F = rank_lu.factor(toy.pencil.A, 1e-12)
-    rank_lu.dump(F, tmp_path)
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["detected_rank"] == 3
-    assert manifest["breakdown_steps"] == [1]
-    assert manifest["alpha"] == F.alpha and manifest["tau"] == F.tau
-    assert manifest["permutation_forward"] == F.P.forward.tolist()
-    for name, mat in (("L", F.L), ("U", F.U), ("V", F.V), ("W", F.W)):
-        loaded = read_matrix_market(tmp_path / f"{name}.mtx")
-        np.testing.assert_array_equal(loaded.to_dense(), mat.to_dense())

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from singpencil.errors import DimensionMismatch
-from singpencil.sparse import (Permutation, SparseMatrix, add_scaled, adjoint,
-                               norm_estimate, permute_rows, spmv, spmv_adjoint,
+from singpencil.sparse import (SparseMatrix, add_scaled, adjoint,
+                               norm_estimate, spmv, spmv_adjoint,
                                two_norm_estimate)
 
 from conftest import random_sparse
@@ -126,42 +126,6 @@ def test_adjoint_consistency(seed):
     rhs = np.vdot(spmv_adjoint(M, y), x)
     scale = max(abs(lhs), abs(rhs), 1.0)
     assert abs(lhs - rhs) <= 1e-13 * scale
-
-
-# -- permutations -------------------------------------------------------------
-
-def test_permutation_validation():
-    with pytest.raises(DimensionMismatch):
-        Permutation(3, [0, 0, 1])
-
-
-def test_permute_rows_identity_bitwise(rng):
-    M = random_sparse(rng, 5, 5, density=0.5)
-    P = Permutation.identity(5)
-    M2 = permute_rows(P, M)
-    assert M2.values.tobytes() == M.values.tobytes()
-    assert M2.row_idx.tobytes() == M.row_idx.tobytes()
-    assert M2.col_ptr.tobytes() == M.col_ptr.tobytes()
-
-
-def test_permute_rows_swap():
-    M = SparseMatrix.from_dense([[1, 0], [0, 2]])
-    P = Permutation(2, [1, 0])
-    np.testing.assert_array_equal(permute_rows(P, M).to_dense(), [[0, 2], [1, 0]])
-
-
-def test_permute_rows_round_trip(rng):
-    for _ in range(5):
-        M = random_sparse(rng, 5, 5, density=0.6)
-        fwd = rng.permutation(5)
-        P = Permutation(5, fwd)
-        back = permute_rows(P.inverse(), permute_rows(P, M))
-        np.testing.assert_array_equal(back.to_dense(), M.to_dense())
-
-
-def test_permutation_size_mismatch():
-    with pytest.raises(DimensionMismatch):
-        permute_rows(Permutation.identity(3), SparseMatrix.identity(4))
 
 
 # -- norms ---------------------------------------------------------------------
