@@ -74,8 +74,17 @@ def test_qr_reconstruction_and_convention(rng):
     assert np.all(d.real >= -1e-15) and np.abs(d.imag).max() <= 1e-15
     assert np.all(np.tril(f.R, -1) == 0.0)
     assert f.Q.shape == (6, 4) and f.R.shape == (4, 4)
+
+
+def test_qr_full_mode_and_errors(rng):
+    # qr has only the economy form: a tall input gives Q of its own shape
+    M = rng.standard_normal((5, 3))
+    f = qr(M)
+    assert f.Q.shape == (5, 3) and f.R.shape == (3, 3)
     with pytest.raises(DimensionMismatch):
         qr(rng.standard_normal((3, 5)))
+    with pytest.raises(DimensionMismatch):
+        qr(np.ones(3))
 
 
 def test_qr_rank_deficient_allowed():
