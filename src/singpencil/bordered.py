@@ -12,7 +12,7 @@ internal formulas are written at shift zero: the factorization acts on the
 pre-shifted matrix and eigenvalues are recovered as ``sigma + mu``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -84,9 +84,9 @@ class BorderedPencil:
 
     ``V`` has ``ncols - normal_rank`` columns and ``W`` has
     ``nrows - normal_rank`` columns; the bordered matrices are square of
-    size ``lu.n_final``.  When the input was wide the adjoint was factored
-    (``adjoint_factored``) and the borders are swapped back, so V and W
-    always refer to the pencil as given.
+    size ``lu.n_final``.  ``lu`` factors the shifted bordered matrix of the
+    pencil as given, whatever its shape, and serves both the solves with
+    that matrix and those with its adjoint.
     """
 
     base: Pencil
@@ -95,7 +95,6 @@ class BorderedPencil:
     normal_rank: int
     shift: complex
     lu: rank_lu.RankLU
-    adjoint_factored: bool = field(default=False)
 
     @property
     def size(self):
@@ -117,37 +116,18 @@ class BorderedPencil:
         """Bordered ``[[B, 0], [0, 0]]``."""
         return assemble_bordered_b(self.base.B, self.size)
 
-    def solve_shifted(self, rhs):
-        """Apply the inverse of the shifted bordered matrix."""
-        if self.adjoint_factored:
-            return rank_lu.solve_adjoint(self.lu, rhs)
-        return rank_lu.solve(self.lu, rhs)
-
-    def solve_shifted_adjoint(self, rhs):
-        if self.adjoint_factored:
-            return rank_lu.solve(self.lu, rhs)
-        return rank_lu.solve_adjoint(self.lu, rhs)
-
 
 def regularize(p, sigma, tau):
     """Factor ``A - sigma B`` with rank detection and build the bordered pencil.
 
-    Wide pencils are handled by factoring the adjoint and swapping the
-    borders back.  The detected rank is the numerical normal rank of the
-    pencil provided ``sigma`` is not an eigenvalue.
+    Square, tall and wide pencils are factored as given.  The detected
+    rank is the numerical normal rank of the pencil provided ``sigma`` is
+    not an eigenvalue.
     """
     sigma = complex(sigma)
-    shifted = add_scaled(p.A, -sigma, p.B)
-    if p.nrows >= p.ncols:
-        lu = rank_lu.factor(shifted, tau)
-        V, W = lu.V, lu.W
-        adj = False
-    else:
-        lu = rank_lu.factor(adjoint(shifted), tau)
-        V, W = lu.W, lu.V  # transposing the bordered system swaps the roles
-        adj = True
-    return BorderedPencil(base=p, V=V, W=W, normal_rank=lu.detected_rank,
-                          shift=sigma, lu=lu, adjoint_factored=adj)
+    lu = rank_lu.factor(add_scaled(p.A, -sigma, p.B), tau)
+    return BorderedPencil(base=p, V=lu.V, W=lu.W, normal_rank=lu.detected_rank,
+                          shift=sigma, lu=lu)
 
 
 class PMatrix:
@@ -256,5 +236,5 @@ class ShiftInvertOperator:
             raise DimensionMismatch(f"operator size {self.size}, vector size {v.size}")
         bp = self.bordered
         if self.direction == "forward":
-            return bp.solve_shifted(spmv(bp.b_matrix, v))
-        return bp.solve_shifted_adjoint(spmv_adjoint(bp.b_matrix, v))
+            return rank_lu.solve(bp.lu, spmv(bp.b_matrix, v))
+        return rank_lu.solve_adjoint(bp.lu, spmv_adjoint(bp.b_matrix, v))

@@ -99,17 +99,23 @@ def _render_csv(d):
     return buf.getvalue()
 
 
+def _config(parser, shift, **kwargs):
+    """SolverConfig from option values; a value it rejects is a usage error."""
+    try:
+        return SolverConfig(sigma=_parse_complex(shift), **kwargs)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def cmd_solve(args, parser):
+    cfg = _config(parser, args.shift,
+                  tau=args.tau,
+                  krylov_steps=args.steps,
+                  implicit_restarts=args.restarts,
+                  classify_threshold=args.threshold,
+                  seed=args.seed,
+                  p_kind={"identity": "identity_block", "b": "b_block"}[args.p])
     pencil, inputs = _load_problem(args, parser)
-    cfg = SolverConfig(
-        sigma=_parse_complex(args.shift),
-        tau=args.tau,
-        krylov_steps=args.steps,
-        implicit_restarts=args.restarts,
-        classify_threshold=args.threshold,
-        seed=args.seed,
-        p_kind={"identity": "identity_block", "b": "b_block"}[args.p],
-    )
     t0 = time.perf_counter()
     result = solve_singular_full(pencil, cfg)
     wall = time.perf_counter() - t0
@@ -151,15 +157,15 @@ def cmd_solve(args, parser):
 
 
 def cmd_rank(args, parser):
-    pencil, _ = _load_problem(args, parser)
     try:
         taus = [float(t) for t in args.taus.split(",") if t.strip()]
     except ValueError as exc:
         parser.error(f"bad --taus: {exc}")
     if not taus:
         parser.error("--taus must list at least one tolerance")
-    cfg = SolverConfig(sigma=_parse_complex(args.shift), tau=taus[0], seed=args.seed)
-    report = tau_sweep(pencil, cfg, taus)
+    cfgs = [_config(parser, args.shift, tau=tau, seed=args.seed) for tau in taus]
+    pencil, _ = _load_problem(args, parser)
+    report = tau_sweep(pencil, cfgs[0], taus)
     print(report.to_text())
     return 0
 

@@ -16,9 +16,6 @@ from .errors import ConvergenceError, DimensionMismatch
 #: eigenvalue at infinity of the underlying pencil.
 INF_THETA_RTOL = 1e-14
 
-#: two matched left/right Ritz values closer than this are flagged ambiguous
-PAIRING_FLAG_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class DenseQR:
@@ -32,17 +29,13 @@ class DenseQR:
 class DenseEig:
     """Eigenvalues with unit-norm right and left eigenvector columns.
 
-    ``eigenvalues[i]`` is ``inf`` when ``infinite[i]`` is set.  ``thetas``
-    holds the raw eigenvalues of the inverted operator, with
-    ``eigenvalues = sigma + 1/thetas``.  ``ambiguous[i]`` marks left/right
-    pairings that had a second candidate closer than ``PAIRING_FLAG_TOL``.
+    ``eigenvalues[i]`` is ``inf`` when ``infinite[i]`` is set; column i of
+    ``right_vectors`` and of ``left_vectors`` belongs to ``eigenvalues[i]``.
     """
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
     left_vectors: np.ndarray
     infinite: np.ndarray
-    thetas: np.ndarray
-    ambiguous: np.ndarray
 
 
 def _phase_fix(Q, R):
@@ -84,31 +77,6 @@ def _sort_order(values):
     return np.lexsort((-q(values.imag), -q(values.real), -q(np.abs(values))))
 
 
-def _greedy_pair(theta_r, theta_l):
-    """Match each right value to the closest unused left value.
-
-    Returns (permutation of left indices aligned to right order, ambiguity
-    flags).  Globally closest pairs are matched first; ties break by index.
-    """
-    nr = len(theta_r)
-    dist = np.abs(theta_r[:, None] - theta_l[None, :])
-    match = np.full(nr, -1, dtype=np.int64)
-    ambiguous = np.zeros(nr, dtype=bool)
-    used_r = np.zeros(nr, dtype=bool)
-    used_l = np.zeros(nr, dtype=bool)
-    for _ in range(nr):
-        masked = np.where(used_r[:, None] | used_l[None, :], np.inf, dist)
-        i, j = np.unravel_index(np.argmin(masked), masked.shape)
-        row = np.where(used_l, np.inf, dist[i])
-        row[j] = np.inf
-        if np.min(row, initial=np.inf) - dist[i, j] < PAIRING_FLAG_TOL:
-            ambiguous[i] = True
-        match[i] = j
-        used_r[i] = True
-        used_l[j] = True
-    return match, ambiguous
-
-
 def _eig(M, what):
     try:
         return np.linalg.eig(M)
@@ -143,10 +111,13 @@ def hessenberg_eig(H):
 def small_generalized_eig(Ah, Bh, sigma=0.0):
     """Eigentriplets of the projected pencil ``Ah - lambda Bh``.
 
-    Right pairs come from ``eig(Ah^{-1} Bh)`` and left pairs from the
-    adjoint problem; eigenvalues are reported as ``sigma + 1/theta``, with
-    ``theta`` below ``INF_THETA_RTOL`` times the operator scale flagged as
-    infinite.  ``Ah`` must be comfortably invertible.
+    Right pairs come from ``eig(Ah^{-1} Bh)``.  The left vector of each
+    eigenvalue ``theta`` of that matrix is the left null vector of
+    ``Bh - theta Ah`` (its last left singular vector), so left and right
+    vectors are paired by construction, also for a defective ``theta``.
+    Eigenvalues are reported as ``sigma + 1/theta``, with ``theta`` below
+    ``INF_THETA_RTOL`` times the operator scale flagged as infinite.
+    ``Ah`` must be comfortably invertible.
     """
     Ah = np.asarray(Ah, dtype=np.complex128)
     Bh = np.asarray(Bh, dtype=np.complex128)
@@ -155,14 +126,10 @@ def small_generalized_eig(Ah, Bh, sigma=0.0):
     if np.linalg.cond(Ah) > 1e15:
         raise ConvergenceError("projected matrix Ah is numerically singular")
     T = np.linalg.solve(Ah, Bh)
-    Tl = np.linalg.solve(Ah.conj().T, Bh.conj().T)
     theta, Z = _eig(T, "small_generalized_eig")
-    theta_l_raw, Y = _eig(Tl, "small_generalized_eig(adjoint)")
-    theta_l = np.conj(theta_l_raw)
-
     order = _sort_order(theta)
     theta, Z = theta[order], Z[:, order]
-    match, ambiguous = _greedy_pair(theta, theta_l)
+    Y = np.linalg.svd(Bh - theta[:, None, None] * Ah)[0][:, :, -1].T
 
     scale = np.linalg.norm(T, 2)
     infinite = np.abs(theta) <= INF_THETA_RTOL * scale
@@ -172,10 +139,8 @@ def small_generalized_eig(Ah, Bh, sigma=0.0):
     return DenseEig(
         eigenvalues=lam,
         right_vectors=_unit_columns(Z),
-        left_vectors=_unit_columns(Y[:, match]),
+        left_vectors=Y,
         infinite=infinite,
-        thetas=theta,
-        ambiguous=ambiguous,
     )
 
 

@@ -29,8 +29,9 @@ class RankLU:
     """Factorization record of the bordered matrix.
 
     ``P @ [[M, W], [V*, 0]] == L @ U`` with L unit lower triangular and U
-    upper triangular with nonzero diagonal.  ``perm`` stores P: row k of
-    ``P @ X`` is row ``perm[k]`` of X.  ``V`` has one column
+    upper triangular with nonzero diagonal (checked on construction, so
+    the solves need not).  ``perm`` stores P: row k of ``P @ X`` is row
+    ``perm[k]`` of X.  ``V`` has one column
     ``alpha * e_i`` per breakdown step i (0-based column indices of M);
     ``W`` has one column ``alpha * e_r`` per row r of M that never became a
     pivot.  ``detected_rank = ncols - len(breakdown_steps)``.
@@ -49,6 +50,17 @@ class RankLU:
     nrows: int
     ncols: int
 
+    def __post_init__(self):
+        # the solves divide by the last stored entry of each U column, so
+        # it must be the diagonal (stored entries are never exact zeros)
+        end = self.U.col_ptr[1:]
+        has_diag = end > self.U.col_ptr[:-1]
+        cols = np.flatnonzero(has_diag)
+        has_diag[cols] = self.U.row_idx[end[cols] - 1] == cols
+        bad = np.flatnonzero(~has_diag)
+        if bad.size:
+            raise FactorizationError(f"U has a zero diagonal entry at column {bad[0]}")
+
     @property
     def n_final(self):
         return self.nrows + len(self.breakdown_steps)
@@ -65,13 +77,14 @@ class RankLU:
 
 
 def factor(M, tau):
-    """Rank-detecting LU of an ``n x m`` sparse matrix with ``n >= m``.
+    """Rank-detecting LU of an ``n x m`` sparse matrix of any shape.
 
     Parameters
     ----------
     M : SparseMatrix
-        The (shifted) pencil matrix.  Wide inputs must be passed as their
-        adjoint by the caller.
+        The (shifted) pencil matrix.  A wide matrix needs no special
+        handling: its surplus columns break down and append rows, so the
+        bordered size ``n + len(V)`` always reaches ``m``.
     tau : float
         Relative pivot tolerance in ``[0, 1)``; a column whose largest
         remaining entry is below ``tau * alpha`` triggers border growth.
@@ -79,8 +92,6 @@ def factor(M, tau):
     n, m = M.nrows, M.ncols
     if n == 0 or m == 0:
         raise FactorizationError("cannot factor a matrix with an empty dimension")
-    if n < m:
-        raise FactorizationError("factor requires nrows >= ncols; factor the adjoint of wide input")
     if not (0.0 <= tau < 1.0):
         raise FactorizationError(f"tau must lie in [0, 1); got {tau} (tau >= 1 would border every column)")
     # border scale: spectral-norm estimate, so appended rows match the
@@ -240,11 +251,6 @@ def factor(M, tau):
     )
 
 
-def _u_diag_check(rows, j):
-    if rows.size == 0 or rows[-1] != j:
-        raise FactorizationError(f"U has a zero diagonal entry at column {j}")
-
-
 def solve(F, b):
     """Solve ``[[M, W], [V*, 0]] x = b`` through the stored P, L, U."""
     b = np.asarray(b, dtype=np.complex128).ravel()
@@ -261,7 +267,6 @@ def solve(F, b):
                 y[rows[1:]] -= vals[1:] * yj
     for j in range(nf - 1, -1, -1):
         rows, vals = U.column(j)
-        _u_diag_check(rows, j)
         xj = y[j] / vals[-1]
         y[j] = xj
         if xj != 0.0 and rows.size > 1:
@@ -279,7 +284,6 @@ def solve_adjoint(F, b):
     z = np.empty(nf, dtype=np.complex128)
     for j in range(nf):  # U* is lower triangular: forward substitution
         rows, vals = U.column(j)
-        _u_diag_check(rows, j)
         s = b[j]
         if rows.size > 1:
             s -= np.vdot(vals[:-1], z[rows[:-1]])

@@ -33,7 +33,9 @@ class SolverConfig:
     ``krylov_steps`` counts Arnoldi iterations before restarting;
     ``implicit_restarts`` zero-shift restarts each shorten the space by one
     and filter infinite-eigenvalue components.  ``classify_threshold`` is
-    the border-norm cut between true and spurious on unit vectors.
+    the border-norm cut between true and spurious on unit vectors.  An
+    out-of-range value (a non-finite ``sigma``, a ``tau`` outside
+    ``[0, 1)``, ...) raises ``ValueError``.
     """
 
     sigma: complex = 0.0
@@ -46,6 +48,10 @@ class SolverConfig:
     force_two_sided: bool = False
 
     def __post_init__(self):
+        if not np.isfinite(complex(self.sigma)):
+            raise ValueError(f"sigma must be finite; got {self.sigma}")
+        if not (0.0 <= self.tau < 1.0):
+            raise ValueError(f"tau must lie in [0, 1); got {self.tau}")
         if self.krylov_steps <= self.implicit_restarts:
             raise ValueError("krylov_steps must exceed implicit_restarts")
         if self.implicit_restarts < 0:
@@ -193,7 +199,6 @@ def _one_sided_triplets(bp, d, cfg):
         infinite = abs(rp.theta) < dense.INF_THETA_RTOL * max(theta_scale, 1e-300)
         lam = np.inf if infinite else cfg.sigma + 1.0 / rp.theta
         x = _normalize(basis @ rp.z)
-        flags = ()
         if not infinite:
             try:
                 x = _arnoldi.purify(bp, x)
@@ -206,7 +211,6 @@ def _one_sided_triplets(bp, d, cfg):
             y_border_norm=None,
             residual_right=rp.residual_estimate,
             residual_left=None,
-            flags=flags,
         )
         out.append(replace(t, label=classify(t, cfg.classify_threshold)))
     return out
@@ -248,7 +252,6 @@ def _two_sided_triplets(bp, fwd, adj, cfg):
         lam = eig.eigenvalues[i]
         x = _normalize(Vk @ eig.right_vectors[:, i])
         y = _normalize(Wk @ eig.left_vectors[:, i])
-        flags = ("ambiguous-pairing",) if eig.ambiguous[i] else ()
         if not infinite:
             try:
                 x = _arnoldi.purify(bp, x)
@@ -272,8 +275,9 @@ def _two_sided_triplets(bp, fwd, adj, cfg):
         )
         label = classify(t, cfg.classify_threshold)
         thr = cfg.classify_threshold
+        flags = ()
         if label == LABEL_SPURIOUS and (xb < thr) != (yb < thr):
-            flags = flags + ("asymmetric-border",)
+            flags = ("asymmetric-border",)
         out.append(replace(t, label=label, flags=flags))
     return out
 

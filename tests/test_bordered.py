@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from singpencil import problems
+from singpencil import problems, rank_lu
 from singpencil.bordered import (Pencil, ShiftInvertOperator, assemble_bordered,
                                  p_matrix, regularize)
 from singpencil.dense import dense_rank
@@ -179,18 +179,19 @@ def test_rectangular_small_section64_structure():
     assert bp.normal_rank == 18
 
 
-def test_wide_pencil_adjoint_factored(rng):
+def test_wide_pencil_factored_as_given(rng):
     M = random_rank_matrix(rng, 3, 5, 2)
     p = Pencil(M, SparseMatrix.zeros(3, 5))
     bp = regularize(p, 0.4, 1e-10)
-    assert bp.adjoint_factored
     assert bp.normal_rank == 2
     assert bp.V.ncols == 5 - 2 and bp.W.ncols == 3 - 2
-    # solve through the adjoint factorization matches a dense solve
+    # both solves with the one factorization match dense solves
     Md = bp.shifted_matrix.to_dense()
     b = rng.standard_normal(bp.size) + 1j * rng.standard_normal(bp.size)
-    np.testing.assert_allclose(bp.solve_shifted(b), np.linalg.solve(Md, b),
+    np.testing.assert_allclose(rank_lu.solve(bp.lu, b), np.linalg.solve(Md, b),
                                atol=1e-9)
+    np.testing.assert_allclose(rank_lu.solve_adjoint(bp.lu, b),
+                               np.linalg.solve(Md.conj().T, b), atol=1e-9)
     S = ShiftInvertOperator(bp, "forward")
     v = rng.standard_normal(bp.size) + 1j * rng.standard_normal(bp.size)
     np.testing.assert_allclose(S.apply(v),

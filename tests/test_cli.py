@@ -89,6 +89,23 @@ def test_solve_usage_errors(tmp_path, capsys):
     assert code == 1 and "singpencil:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--shift", "nan"],
+    ["solve", "--shift", "inf"],
+    ["solve", "--steps", "0"],
+    ["solve", "--restarts", "-1"],
+    ["solve", "--threshold", "2"],
+    ["solve", "--tau", "nan"],
+    ["solve", "--tau", "1"],
+    ["rank", "--taus", "0.1,2"],
+], ids=lambda a: " ".join(a))
+def test_bad_option_values_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--generate", "kronecker_toy"])
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_solve_numerical_failure_exit_2(tmp_path, capsys):
     # b_block inner product on an indefinite B is a numerical failure
     A = SparseMatrix.identity(2)

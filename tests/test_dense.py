@@ -194,10 +194,21 @@ def test_generalized_singular_ah_rejected():
         small_generalized_eig(np.zeros((2, 2)), np.eye(2))
 
 
-def test_pairing_ambiguity_flagged_for_coincident_values():
-    # two identical eigenvalues leave the left/right matching ambiguous
-    eig = small_generalized_eig(np.eye(2), 0.5 * np.eye(2))
-    assert eig.ambiguous.any()
+@pytest.mark.parametrize("Ah, Bh", [
+    (np.eye(3), np.diag([1.0, 1.0], 1)),  # nilpotent: one defective theta = 0
+    (np.eye(2), 0.5 * np.eye(2)),          # one double theta = 2
+], ids=["nilpotent", "coincident"])
+def test_generalized_left_vectors_are_null_vectors(Ah, Bh):
+    eig = small_generalized_eig(Ah, Bh)
+    theta = np.zeros(eig.eigenvalues.size, dtype=complex)
+    theta[~eig.infinite] = 1.0 / eig.eigenvalues[~eig.infinite]
+    Y = eig.left_vectors
+    assert np.isfinite(Y).all()
+    np.testing.assert_allclose(np.linalg.norm(Y, axis=0), 1.0, atol=1e-14)
+    for i in range(theta.size):
+        assert np.linalg.norm(Y[:, i].conj() @ (Bh - theta[i] * Ah)) <= 1e-14
+    if eig.infinite.all():  # nilpotent Bh: its only left null vector is e_3
+        np.testing.assert_allclose(np.abs(Y[2]), 1.0, atol=1e-14)
 
 
 # -- dense_rank -------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -120,9 +122,24 @@ def test_factor_errors():
         rank_lu.factor(SparseMatrix.zeros(3, 3), 1e-12)
     with pytest.raises(FactorizationError):
         rank_lu.factor(SparseMatrix.zeros(0, 0), 1e-12)
-    wide = SparseMatrix.from_dense(np.ones((2, 3)))
-    with pytest.raises(FactorizationError):
-        rank_lu.factor(wide, 1e-12)
+
+
+@pytest.mark.parametrize("n, m, k", [(3, 5, 2), (6, 9, 6), (10, 14, 4)])
+def test_factor_wide_as_given(rng, n, m, k):
+    """Wide input is factored directly: surplus columns break down and
+    append rows until the bordered matrix is square."""
+    M = random_rank_matrix(rng, n, m, k)
+    F = rank_lu.factor(M, 1e-10)
+    assert F.detected_rank == k
+    assert F.V.ncols == m - k and F.W.ncols == n - k
+    check_factorization(F, M)
+
+
+def test_zero_u_diagonal_rejected():
+    F = rank_lu.factor(SparseMatrix.identity(3), 1e-12)
+    U = SparseMatrix.from_dense(np.diag([1.0, 0.0, 1.0]))
+    with pytest.raises(FactorizationError, match="column 1"):
+        replace(F, U=U)
 
 
 # -- solve / solve_adjoint ------------------------------------------------------

@@ -157,7 +157,6 @@ def test_wide_pencil_full_pipeline():
     cfg = SolverConfig(sigma=0.9, tau=1e-12, krylov_steps=10, implicit_restarts=2)
     res = solve_singular_full(wide, cfg)
     assert not res.one_sided
-    assert res.bordered.adjoint_factored
     assert res.bordered.V.ncols == 2 and res.bordered.W.ncols == 0
     trues = [t for t in res.triplets if t.label == "True"]
     assert len(trues) == 1 and abs(trues[0].lam - 1.0) <= 1e-8
