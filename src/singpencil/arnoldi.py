@@ -1,10 +1,11 @@
-"""P-orthogonal shift-and-invert Arnoldi, implicit restarts with shift at
+"""Seminorm shift-and-invert Arnoldi, implicit restarts with shift at
 infinity, Ritz extraction and eigenvector purification.
 
-The iteration orthogonalizes in a positive semi-definite inner product so
-the border-induced eigenvalues at infinity stay invisible; classical
-Gram-Schmidt with one unconditional reorthogonalization pass keeps the
-basis P-orthonormal to working accuracy.  An implicit restart performs one
+The iteration orthogonalizes in the seminorm ``diag(I, 0)``, the Euclidean
+product on the operator's leading (pencil) block, so the border-induced
+eigenvalues at infinity stay invisible; classical Gram-Schmidt with one
+unconditional reorthogonalization pass keeps the basis orthonormal in that
+seminorm to working accuracy.  An implicit restart performs one
 zero-shift QR step on the extended Hessenberg matrix, which multiplies the
 Krylov space by the operator and thereby filters nullspace components.
 """
@@ -15,10 +16,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dense
-from .bordered import ShiftInvertOperator
 from .errors import DimensionMismatch, PurificationError, StartVectorError
 
-#: P-norm below this multiple of the Euclidean norm counts as breakdown
+#: Seminorm below this multiple of the Euclidean norm counts as breakdown
 BREAKDOWN_RTOL = 1e-13
 
 
@@ -30,14 +30,15 @@ class ArnoldiDecomposition:
     ``(steps + 1) x steps``; when the iteration broke down the trailing
     vector is dropped, ``hess`` is square and ``exact`` is set (the basis
     then spans an invariant subspace of the operator, at least in the
-    seminorm).  Subdiagonal entries of ``hess`` are real nonnegative.
+    seminorm).  ``leading`` is the length of the block the seminorm sees.
+    Subdiagonal entries of ``hess`` are real nonnegative.
     ``breakdown`` is ``None``, ``"lucky"`` (candidate vector vanished) or
     ``"kernel"`` (candidate fell into the seminorm kernel).
     """
 
     basis: np.ndarray
     hess: np.ndarray
-    p: object
+    leading: int
     steps: int
     exact: bool = False
     breakdown: str | None = None
@@ -64,16 +65,20 @@ def start_vector(S, seed):
     return S.apply(v)
 
 
-def arnoldi_run(S, v0, p, steps, trace=None):
-    """Run ``steps`` iterations of P-orthogonal Arnoldi on operator S.
+def _seminorm(x, leading):
+    return float(np.sqrt(max(np.vdot(x[:leading], x[:leading]).real, 0.0)))
+
+
+def arnoldi_run(S, v0, steps):
+    """Run ``steps`` iterations of seminorm Arnoldi on operator S.
 
     Parameters
     ----------
-    S : ShiftInvertOperator (or any object with .size and .apply)
+    S : ShiftInvertOperator (or any object with .size, .leading and .apply);
+        the seminorm is the Euclidean norm of the first ``S.leading``
+        coordinates.
     v0 : start vector; must not lie in the seminorm kernel.
-    p : PMatrix inner-product descriptor.
     steps : requested Krylov dimension (>= 1).
-    trace : optional callable receiving one diagnostic line per iteration.
 
     On breakdown the decomposition is truncated and returned with the
     ``exact`` flag; ``breakdown == "kernel"`` signals that a fresh start
@@ -84,7 +89,8 @@ def arnoldi_run(S, v0, p, steps, trace=None):
     v0 = np.asarray(v0, dtype=np.complex128).ravel()
     if v0.size != S.size:
         raise DimensionMismatch("start vector length does not match operator")
-    pn = p.norm(v0)
+    ell = S.leading
+    pn = _seminorm(v0, ell)
     if pn == 0.0 or pn <= BREAKDOWN_RTOL * np.linalg.norm(v0):
         raise StartVectorError("start vector lies in the seminorm kernel")
 
@@ -98,26 +104,22 @@ def arnoldi_run(S, v0, p, steps, trace=None):
         sv_norm = np.linalg.norm(sv)
         w = sv.copy()
         block = V[:, :i + 1]
-        c1 = p.inners(block, w)
+        c1 = block[:ell].conj().T @ w[:ell]
         w -= block @ c1
-        c2 = p.inners(block, w)  # one unconditional reorthogonalization pass
+        c2 = block[:ell].conj().T @ w[:ell]  # one unconditional reorthogonalization pass
         w -= block @ c2
         H[:i + 1, i] = c1 + c2
-        hnext = p.norm(w)
+        hnext = _seminorm(w, ell)
         wnorm = np.linalg.norm(w)
-        if trace is not None:
-            defect = np.abs(p.inners(block, w)).max()
-            trace(f"step {i + 1}: h_col_norm={np.linalg.norm(H[:i + 2, i]):.6e} "
-                  f"p_next={hnext:.6e} orth_defect={defect:.3e}")
         if hnext <= BREAKDOWN_RTOL * wnorm or wnorm <= BREAKDOWN_RTOL * sv_norm:
             kind = "lucky" if wnorm <= BREAKDOWN_RTOL * max(sv_norm, 1e-300) else "kernel"
             return ArnoldiDecomposition(
                 basis=V[:, :i + 1].copy(), hess=H[:i + 1, :i + 1].copy(),
-                p=p, steps=i + 1, exact=True, breakdown=kind)
+                leading=ell, steps=i + 1, exact=True, breakdown=kind)
         H[i + 1, i] = hnext  # real nonnegative by construction
         V[:, i + 1] = w / hnext
 
-    return ArnoldiDecomposition(basis=V, hess=H, p=p, steps=steps)
+    return ArnoldiDecomposition(basis=V, hess=H, leading=ell, steps=steps)
 
 
 def _phase_normalize(basis, hess, square):
@@ -152,7 +154,7 @@ def implicit_restart_infinity(d):
         basis = d.basis @ f.Q
         hess = f.R @ f.Q
         basis, hess = _phase_normalize(basis, hess, square=True)
-        return ArnoldiDecomposition(basis=basis, hess=hess, p=d.p,
+        return ArnoldiDecomposition(basis=basis, hess=hess, leading=d.leading,
                                     steps=d.steps, exact=True, breakdown=d.breakdown)
     if d.steps < 2:
         raise ValueError("implicit restart needs at least 2 steps")
@@ -161,7 +163,7 @@ def implicit_restart_infinity(d):
     basis = d.basis @ f.Q         # n x s
     hess = f.R @ f.Q[:s, :s - 1]  # s x (s-1) extended Hessenberg
     basis, hess = _phase_normalize(basis, hess, square=False)
-    return ArnoldiDecomposition(basis=basis, hess=hess, p=d.p, steps=s - 1)
+    return ArnoldiDecomposition(basis=basis, hess=hess, leading=d.leading, steps=s - 1)
 
 
 def ritz_pairs(d):
@@ -184,15 +186,15 @@ def ritz_pairs(d):
     return pairs
 
 
-def purify(bp, x, adjoint_side=False):
-    """One application of the shift-and-invert operator, normalized.
+def purify(S, x):
+    """One application of the shift-and-invert operator S, normalized.
 
     Strips eigenvector components lying in the operator nullspace (the
-    border-induced infinite eigenvalues).  Left vectors are purified with
-    the transposed-pencil operator.  Raises :class:`PurificationError` for
-    vectors entirely inside the nullspace.
+    border-induced infinite eigenvalues).  Right vectors are purified with
+    the forward operator, left vectors with the transposed-pencil one.
+    Raises :class:`PurificationError` for vectors entirely inside the
+    nullspace.
     """
-    S = ShiftInvertOperator(bp, "transposed_pencil" if adjoint_side else "forward")
     y = S.apply(x)
     norm = np.linalg.norm(y)
     if norm < 1e-280:

@@ -1,6 +1,5 @@
-"""Pencils, their rank-completing bordered regularization, the
-shift-and-invert operator on the bordered system, and the semi-definite
-inner products used by the Krylov iteration.
+"""Pencils, their rank-completing bordered regularization and the
+shift-and-invert operator on the bordered system.
 
 The bordered pencil of ``A x = lambda B x`` is
 
@@ -18,15 +17,17 @@ from functools import cached_property
 import numpy as np
 
 from . import rank_lu
-from .errors import DimensionMismatch, NonFiniteInput, SingPencilError
-from .sparse import SparseMatrix, add_scaled, adjoint, norm_estimate, spmv, spmv_adjoint
+from .errors import DimensionMismatch, NonFiniteInput
+from .sparse import SparseMatrix, add_scaled, spmv, spmv_adjoint
 
 
 @dataclass(frozen=True)
 class Pencil:
     """A (possibly singular or rectangular) matrix pencil ``A - lambda B``.
 
-    Raises :class:`NonFiniteInput` when A or B holds an inf or NaN entry.
+    Raises :class:`DimensionMismatch` when A and B differ in shape or have
+    no rows or no columns, and :class:`NonFiniteInput` when A or B holds an
+    inf or NaN entry.
     """
 
     A: SparseMatrix
@@ -35,6 +36,8 @@ class Pencil:
     def __post_init__(self):
         if self.A.shape != self.B.shape:
             raise DimensionMismatch(f"pencil matrices differ in shape: {self.A.shape} vs {self.B.shape}")
+        if 0 in self.A.shape:
+            raise DimensionMismatch(f"pencil matrices are empty: {self.A.shape}")
         for name, M in (("A", self.A), ("B", self.B)):
             if not np.isfinite(M.values).all():
                 raise NonFiniteInput(f"pencil matrix {name} has a non-finite entry")
@@ -130,80 +133,6 @@ def regularize(p, sigma, tau):
                           shift=sigma, lu=lu)
 
 
-class PMatrix:
-    """Positive semi-definite inner product ``<x, y> = x* P y``.
-
-    ``identity_block`` restricts the Euclidean product to the leading block
-    (border coordinates are invisible); ``b_block`` uses ``diag(B, 0)`` and
-    requires a Hermitian positive semi-definite B.
-    """
-
-    __slots__ = ("kind", "leading", "total", "B")
-
-    def __init__(self, kind, leading, total, B=None):
-        self.kind = kind
-        self.leading = int(leading)
-        self.total = int(total)
-        self.B = B
-
-    def _check(self, x):
-        if x.shape[0] != self.total:
-            raise DimensionMismatch("vector does not match bordered size")
-
-    def inner(self, x, y):
-        x = np.asarray(x, dtype=np.complex128)
-        y = np.asarray(y, dtype=np.complex128)
-        self._check(x)
-        self._check(y)
-        if self.kind == "identity_block":
-            return complex(np.vdot(x[:self.leading], y[:self.leading]))
-        return complex(np.vdot(x[:self.leading], spmv(self.B, y[:self.leading])))
-
-    def inners(self, Vblock, w):
-        """Vector of ``<v_j, w>`` over the columns of ``Vblock``."""
-        if self.kind == "identity_block":
-            return Vblock[:self.leading].conj().T @ w[:self.leading]
-        return Vblock[:self.leading].conj().T @ spmv(self.B, w[:self.leading])
-
-    def norm(self, x):
-        val = self.inner(x, x).real
-        return float(np.sqrt(max(val, 0.0)))
-
-
-def p_matrix(bp, kind, adjoint_side=False):
-    """Inner-product descriptor for Krylov runs on a bordered pencil.
-
-    ``identity_block`` is ``diag(I, 0)`` over the leading (pencil) block;
-    the leading size differs between the forward side (column space) and
-    the adjoint side (row space) for rectangular pencils.  ``b_block``
-    is ``diag(B, 0)`` and is rejected unless B is Hermitian positive
-    semi-definite.
-    """
-    if kind not in ("identity_block", "b_block"):
-        raise ValueError(f"unknown inner product kind {kind!r}")
-    leading = bp.base.nrows if adjoint_side else bp.base.ncols
-    if kind == "identity_block":
-        return PMatrix("identity_block", leading, bp.size)
-    B = bp.base.B
-    if B.nrows != B.ncols:
-        raise SingPencilError("b_block inner product needs a square B")
-    scale = max(norm_estimate(B), 1.0) if B.nnz else 1.0
-    herm_defect = 0.0
-    diff = add_scaled(B, -1.0, adjoint(B))
-    if diff.nnz:
-        herm_defect = float(np.abs(diff.values).max())
-    if herm_defect > 1e-12 * scale:
-        raise SingPencilError("the inner product is not well defined: B is not Hermitian")
-    rng = np.random.default_rng(0x5eed)
-    for _ in range(20):
-        x = rng.standard_normal(B.ncols) + 1j * rng.standard_normal(B.ncols)
-        x /= np.linalg.norm(x)
-        quad = np.vdot(x, spmv(B, x)).real
-        if quad < -1e-12 * scale:
-            raise SingPencilError("the inner product is not well defined: B is indefinite")
-    return PMatrix("b_block", B.ncols, bp.size, B)
-
-
 class ShiftInvertOperator:
     """Shift-and-invert operators on the bordered system, sharing one
     factorization.
@@ -216,6 +145,11 @@ class ShiftInvertOperator:
         left eigenvectors of the bordered pencil (with conjugated Ritz
         values), border components included; this is what the two-sided
         iteration and left purification run on.
+
+    ``leading`` is the length of the pencil block of the vectors the
+    operator acts on: ``ncols`` of the pencil for ``"forward"`` and
+    ``nrows`` for ``"transposed_pencil"``.  The coordinates after it are
+    the border, invisible to the Krylov seminorm.
     """
 
     __slots__ = ("bordered", "direction")
@@ -229,6 +163,11 @@ class ShiftInvertOperator:
     @property
     def size(self):
         return self.bordered.size
+
+    @property
+    def leading(self):
+        base = self.bordered.base
+        return base.ncols if self.direction == "forward" else base.nrows
 
     def apply(self, v):
         v = np.asarray(v, dtype=np.complex128).ravel()

@@ -80,7 +80,11 @@ def _load_problem(args, parser):
         parser.error("need --a and --b, or --generate")
     A = read_matrix_market(args.a_path)
     B = read_matrix_market(args.b_path)
-    return Pencil(A, B), {"a": args.a_path, "b": args.b_path}
+    try:
+        pencil = Pencil(A, B)
+    except SingPencilError as exc:  # shape mismatch or empty matrices
+        parser.error(f"bad input: {exc}")
+    return pencil, {"a": args.a_path, "b": args.b_path}
 
 
 def _render_csv(d):
@@ -113,8 +117,7 @@ def cmd_solve(args, parser):
                   krylov_steps=args.steps,
                   implicit_restarts=args.restarts,
                   classify_threshold=args.threshold,
-                  seed=args.seed,
-                  p_kind={"identity": "identity_block", "b": "b_block"}[args.p])
+                  seed=args.seed)
     pencil, inputs = _load_problem(args, parser)
     t0 = time.perf_counter()
     result = solve_singular_full(pencil, cfg)
@@ -209,8 +212,6 @@ def build_parser():
     ps.add_argument("--restarts", type=int, default=1, help="implicit restarts (default 1)")
     ps.add_argument("--threshold", type=float, default=1e-6,
                     help="border-norm classification threshold (default 1e-6)")
-    ps.add_argument("--p", choices=["identity", "b"], default="identity",
-                    help="semi-inner-product kind (default identity)")
     ps.add_argument("--format", choices=["text", "json", "csv"], default="text")
     ps.add_argument("--out", help="write the table here (plus <out>.manifest.json)")
     ps.add_argument("--seed", type=int, default=42, help="start-vector seed (default 42)")

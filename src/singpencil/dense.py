@@ -66,15 +66,30 @@ def qr(M):
     return DenseQR(Q=Q, R=np.triu(R))
 
 
-def _sort_order(values):
-    # descending modulus, ties by descending real then descending imag;
+def _sort_keys(values):
     # keys are quantized so rounding-level modulus ties still sort by the
     # documented tie break
     scale = np.abs(values).max() if values.size else 1.0
     if scale == 0.0:
         scale = 1.0
     q = lambda x: np.round(x / scale, 12)
-    return np.lexsort((-q(values.imag), -q(values.real), -q(np.abs(values))))
+    return np.stack((-q(values.imag), -q(values.real), -q(np.abs(values))))
+
+
+def _sort_order(values):
+    # descending modulus, ties by descending real then descending imag
+    return np.lexsort(_sort_keys(values))
+
+
+def _copy_index(values):
+    """Position of each entry within its run of equal quantized sort keys
+    (``values`` already sorted): 0 for the first copy, 1 for the second..."""
+    keys = _sort_keys(values)
+    copy = np.zeros(values.size, dtype=np.int64)
+    for i in range(1, values.size):
+        if np.array_equal(keys[:, i], keys[:, i - 1]):
+            copy[i] = copy[i - 1] + 1
+    return copy
 
 
 def _eig(M, what):
@@ -112,9 +127,13 @@ def small_generalized_eig(Ah, Bh, sigma=0.0):
     """Eigentriplets of the projected pencil ``Ah - lambda Bh``.
 
     Right pairs come from ``eig(Ah^{-1} Bh)``.  The left vector of each
-    eigenvalue ``theta`` of that matrix is the left null vector of
+    eigenvalue ``theta`` of that matrix is a left null vector of
     ``Bh - theta Ah`` (its last left singular vector), so left and right
     vectors are paired by construction, also for a defective ``theta``.
+    The r-th copy of a repeated ``theta`` takes the r-th last left singular
+    vector instead, as long as the numerical null space of
+    ``Bh - theta Ah`` has room for it, so the left vectors of a semisimple
+    ``theta`` span its left eigenspace.
     Eigenvalues are reported as ``sigma + 1/theta``, with ``theta`` below
     ``INF_THETA_RTOL`` times the operator scale flagged as infinite.
     ``Ah`` must be comfortably invertible.
@@ -129,7 +148,11 @@ def small_generalized_eig(Ah, Bh, sigma=0.0):
     theta, Z = _eig(T, "small_generalized_eig")
     order = _sort_order(theta)
     theta, Z = theta[order], Z[:, order]
-    Y = np.linalg.svd(Bh - theta[:, None, None] * Ah)[0][:, :, -1].T
+    U, s, _ = np.linalg.svd(Bh - theta[:, None, None] * Ah)
+    tol = 1e-12 * (np.linalg.norm(Bh) + np.abs(theta) * np.linalg.norm(Ah))
+    null_dim = np.maximum((s <= tol[:, None]).sum(axis=1), 1)
+    col = -1 - np.minimum(_copy_index(theta), null_dim - 1)
+    Y = U[np.arange(theta.size), :, col].T
 
     scale = np.linalg.norm(T, 2)
     infinite = np.abs(theta) <= INF_THETA_RTOL * scale

@@ -77,27 +77,16 @@ def read_matrix_market(path):
     return SparseMatrix.from_coo(nrows, ncols, rows, cols, vals)
 
 
-def write_matrix_market(path, M, field=None, comment=None):
-    """Write ``M`` in coordinate format.
-
-    ``field`` may be ``"real"`` or ``"complex"``; by default complex is used
-    whenever the matrix has a nonzero imaginary part.
-    """
-    if field is None:
-        field = "complex" if M.nnz and np.any(M.values.imag != 0.0) else "real"
-    if field not in ("real", "complex"):
-        raise MatrixMarketError(f"unsupported field {field!r}")
-    if field == "real" and M.nnz and np.any(M.values.imag != 0.0):
-        raise MatrixMarketError("matrix has imaginary entries; cannot write field 'real'")
+def write_matrix_market(path, M):
+    """Write ``M`` in coordinate format, with field ``complex`` when the
+    matrix has a nonzero imaginary part and ``real`` otherwise."""
+    field = "complex" if M.nnz and np.any(M.values.imag != 0.0) else "real"
     rows, cols, vals = M.coo()
     columns = [rows + 1, cols + 1, vals.real]
     if field == "complex":
         columns.append(vals.imag)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"%%MatrixMarket matrix coordinate {field} general\n")
-        if comment:
-            for ln in str(comment).splitlines():
-                fh.write(f"% {ln}\n")
         fh.write(f"{M.nrows} {M.ncols} {M.nnz}\n")
         # indices stay exact as float64 below 2**53; %.17g round-trips a double
         np.savetxt(fh, np.column_stack(columns), fmt=["%d", "%d"] + ["%.17g"] * (len(columns) - 2))

@@ -209,12 +209,6 @@ def two_norm_estimate(M, iters=40):
     return float(np.sqrt(est * np.linalg.norm(spmv(M, x))))
 
 
-def adjoint(M):
-    """Materialized conjugate transpose M*."""
-    rows, cols, vals = M.coo()
-    return SparseMatrix.from_coo(M.ncols, M.nrows, cols, rows, np.conj(vals))
-
-
 def add_scaled(A, coef, B):
     """A + coef * B for matrices of identical shape."""
     if A.shape != B.shape:

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import arnoldi as _arnoldi
 from . import dense
-from .bordered import ShiftInvertOperator, p_matrix, regularize
-from .errors import PurificationError, SingPencilError
+from .bordered import ShiftInvertOperator, regularize
+from .errors import ConvergenceError, PurificationError, SingPencilError
 from .sparse import norm_estimate, spmv, spmv_adjoint
 
 LABEL_TRUE = "True"
@@ -44,8 +44,6 @@ class SolverConfig:
     implicit_restarts: int = 1
     classify_threshold: float = 1e-6
     seed: int = 42
-    p_kind: str = "identity_block"
-    force_two_sided: bool = False
 
     def __post_init__(self):
         if not np.isfinite(complex(self.sigma)):
@@ -58,8 +56,6 @@ class SolverConfig:
             raise ValueError("implicit_restarts must be >= 0")
         if not (0.0 < self.classify_threshold < 1.0):
             raise ValueError("classify_threshold must lie in (0, 1)")
-        if self.p_kind not in ("identity_block", "b_block"):
-            raise ValueError(f"unknown p_kind {self.p_kind!r}")
 
 
 @dataclass(frozen=True)
@@ -106,7 +102,7 @@ def classify(t, threshold):
     return LABEL_SPURIOUS
 
 
-def _run_side(S, p, cfg, seed):
+def _run_side(S, cfg, seed):
     """One Arnoldi run plus restarts.
 
     A kernel breakdown in the very first step means the start vector was
@@ -116,7 +112,7 @@ def _run_side(S, p, cfg, seed):
     """
     for attempt in range(2):
         v0 = _arnoldi.start_vector(S, seed + 7001 * attempt)
-        d = _arnoldi.arnoldi_run(S, v0, p, cfg.krylov_steps)
+        d = _arnoldi.arnoldi_run(S, v0, cfg.krylov_steps)
         if not (d.breakdown == "kernel" and d.steps < 2):
             break
     else:
@@ -134,12 +130,12 @@ def _border_norm(vec, leading):
     return float(np.linalg.norm(vec[leading:]))
 
 
-def _residual(A_hat, B_hat, lam, infinite, vec, a_norm, b_norm, adjoint_side=False):
-    mv = spmv_adjoint if adjoint_side else spmv
+def _residual(A_hat, B_hat, lam, infinite, vec, a_norm, b_norm, left=False):
+    mv = spmv_adjoint if left else spmv
     if infinite:
         return float(np.linalg.norm(mv(B_hat, vec)) / max(b_norm, 1e-300))
     scale = a_norm + abs(lam) * b_norm
-    r = mv(A_hat, vec) - (np.conj(lam) if adjoint_side else lam) * mv(B_hat, vec)
+    r = mv(A_hat, vec) - (np.conj(lam) if left else lam) * mv(B_hat, vec)
     return float(np.linalg.norm(r) / max(scale, 1e-300))
 
 
@@ -150,24 +146,20 @@ def solve_singular_full(p, cfg):
     bp = regularize(p, cfg.sigma, cfg.tau)
     timings["factor"] = time.perf_counter() - t0
 
-    one_sided = (not p.is_square) and bp.V.ncols == 0 and not cfg.force_two_sided
+    one_sided = (not p.is_square) and bp.V.ncols == 0
     S = ShiftInvertOperator(bp, "forward")
-    Pf = p_matrix(bp, cfg.p_kind, adjoint_side=False)
+    Sa = ShiftInvertOperator(bp, "transposed_pencil")
 
     t0 = time.perf_counter()
-    fwd = _run_side(S, Pf, cfg, cfg.seed)
-    adj = None
-    if not one_sided:
-        Sa = ShiftInvertOperator(bp, "transposed_pencil")
-        Pa = p_matrix(bp, cfg.p_kind, adjoint_side=True)
-        adj = _run_side(Sa, Pa, cfg, cfg.seed + 104729)
+    fwd = _run_side(S, cfg, cfg.seed)
+    adj = None if one_sided else _run_side(Sa, cfg, cfg.seed + 104729)
     timings["arnoldi"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     if one_sided:
-        triplets = _one_sided_triplets(bp, fwd, cfg)
+        triplets = _one_sided_triplets(S, fwd, cfg)
     else:
-        triplets = _two_sided_triplets(bp, fwd, adj, cfg)
+        triplets = _two_sided_triplets(S, Sa, fwd, adj, cfg)
     timings["projection"] = time.perf_counter() - t0
     timings["total"] = sum(timings.values())
 
@@ -189,9 +181,8 @@ def _normalize(v):
     return v / n if n > 0 else v
 
 
-def _one_sided_triplets(bp, d, cfg):
+def _one_sided_triplets(S, d, cfg):
     pairs = _arnoldi.ritz_pairs(d)
-    m = bp.base.ncols
     basis = d.basis[:, :d.steps]
     theta_scale = np.linalg.norm(d.square_hess, 2)
     out = []
@@ -201,13 +192,13 @@ def _one_sided_triplets(bp, d, cfg):
         x = _normalize(basis @ rp.z)
         if not infinite:
             try:
-                x = _arnoldi.purify(bp, x)
+                x = _arnoldi.purify(S, x)
             except PurificationError:
                 infinite, lam = True, np.inf
         t = EigenTriplet(
             lam=complex(lam) if not infinite else complex(np.inf),
             infinite=infinite, x=x, y=None,
-            x_border_norm=_border_norm(x, m),
+            x_border_norm=_border_norm(x, S.leading),
             y_border_norm=None,
             residual_right=rp.residual_estimate,
             residual_left=None,
@@ -216,10 +207,9 @@ def _one_sided_triplets(bp, d, cfg):
     return out
 
 
-def _two_sided_triplets(bp, fwd, adj, cfg):
+def _two_sided_triplets(S, Sa, fwd, adj, cfg):
+    bp = S.bordered
     k = min(fwd.steps, adj.steps)
-    if k < 1:
-        raise SingPencilError("empty Krylov basis")
     Vk = fwd.basis[:, :k]
     Wk = adj.basis[:, :k]
     A_hat_big = bp.shifted_matrix
@@ -230,20 +220,18 @@ def _two_sided_triplets(bp, fwd, adj, cfg):
     Bhat_full = Wk.conj().T @ BV
     # exactly solved subspaces can leave degenerate trailing directions;
     # shrink until the projected matrix is comfortably invertible
-    eig = None
-    while k >= 1:
-        Ahat = Ahat_full[:k, :k]
-        Bhat = Bhat_full[:k, :k]
-        if np.linalg.cond(Ahat) <= 1e15:
-            eig = dense.small_generalized_eig(Ahat, Bhat, sigma=cfg.sigma)
+    while True:
+        try:
+            eig = dense.small_generalized_eig(Ahat_full[:k, :k], Bhat_full[:k, :k],
+                                              sigma=cfg.sigma)
             break
-        k -= 1
-    if eig is None:
-        raise SingPencilError("projected pencil is degenerate at every dimension")
+        except ConvergenceError:
+            k -= 1
+            if k < 1:
+                raise SingPencilError("projected pencil is degenerate at every dimension")
     Vk = Vk[:, :k]
     Wk = Wk[:, :k]
 
-    n, m = bp.base.nrows, bp.base.ncols
     a_norm = norm_estimate(bp.a_matrix)
     b_norm = norm_estimate(bp.b_matrix) if bp.b_matrix.nnz else 0.0
     out = []
@@ -254,19 +242,19 @@ def _two_sided_triplets(bp, fwd, adj, cfg):
         y = _normalize(Wk @ eig.left_vectors[:, i])
         if not infinite:
             try:
-                x = _arnoldi.purify(bp, x)
+                x = _arnoldi.purify(S, x)
             except PurificationError:
                 infinite, lam = True, np.inf
         if not infinite:
             try:
-                y = _arnoldi.purify(bp, y, adjoint_side=True)
+                y = _arnoldi.purify(Sa, y)
             except PurificationError:
                 infinite, lam = True, np.inf
-        xb = _border_norm(x, m)
-        yb = _border_norm(y, n)
+        xb = _border_norm(x, S.leading)
+        yb = _border_norm(y, Sa.leading)
         res_r = _residual(bp.a_matrix, bp.b_matrix, lam, infinite, x, a_norm, b_norm)
         res_l = _residual(bp.a_matrix, bp.b_matrix, lam, infinite, y, a_norm, b_norm,
-                          adjoint_side=True)
+                          left=True)
         t = EigenTriplet(
             lam=complex(lam) if not infinite else complex(np.inf),
             infinite=infinite, x=x, y=y,
@@ -369,7 +357,7 @@ def result_to_dict(result):
     bp = result.bordered
     cfg = result.config
     return {
-        "schema_version": 1,
+        "schema_version": 2,
         "mode": "one_sided" if result.one_sided else "two_sided",
         "shift": [complex(cfg.sigma).real, complex(cfg.sigma).imag],
         "config": {
@@ -378,7 +366,6 @@ def result_to_dict(result):
             "implicit_restarts": cfg.implicit_restarts,
             "classify_threshold": cfg.classify_threshold,
             "seed": cfg.seed,
-            "p_kind": cfg.p_kind,
         },
         "border": {
             "rows": int(bp.V.ncols),

@@ -4,14 +4,13 @@ import pytest
 from singpencil import problems
 from singpencil.arnoldi import (arnoldi_run, implicit_restart_infinity, purify,
                                 ritz_pairs, start_vector)
-from singpencil.bordered import (Pencil, PMatrix, ShiftInvertOperator, p_matrix,
-                                 regularize)
+from singpencil.bordered import Pencil, ShiftInvertOperator, regularize
 from singpencil.errors import PurificationError, StartVectorError
 from singpencil.sparse import SparseMatrix
 
 
 class DiagOperator:
-    """Test operator: S = diag(entries)."""
+    """Test operator: S = diag(entries), seen whole by the seminorm."""
 
     def __init__(self, entries):
         self.d = np.asarray(entries, dtype=complex)
@@ -20,28 +19,31 @@ class DiagOperator:
     def size(self):
         return self.d.size
 
+    @property
+    def leading(self):
+        return self.d.size
+
     def apply(self, v):
         return self.d * v
 
 
-def euclid_p(n):
-    return PMatrix("identity_block", n, n)
-
-
 def toy_setup(sigma=0.0):
     bp = regularize(problems.gen_kronecker_toy().pencil, sigma, 1e-12)
-    S = ShiftInvertOperator(bp, "forward")
-    return bp, S, p_matrix(bp, "identity_block")
+    return bp, ShiftInvertOperator(bp, "forward")
 
 
 def relation_residual(d, S):
-    """Max P-seminorm residual of S V_l - V_{l+1} Hbar, column by column."""
-    cols = d.steps if d.exact else d.steps
+    """Max seminorm residual of S V_l - V_{l+1} Hbar, column by column."""
     worst = 0.0
-    for j in range(cols):
+    for j in range(d.steps):
         r = S.apply(d.basis[:, j]) - d.basis @ d.hess[:, j]
-        worst = max(worst, d.p.norm(r))
+        worst = max(worst, np.linalg.norm(r[:d.leading]))
     return worst
+
+
+def seminorm_gram(d):
+    lead = d.basis[:d.leading]
+    return lead.conj().T @ lead
 
 
 # -- arnoldi_run ---------------------------------------------------------------
@@ -51,7 +53,7 @@ def test_scalar_operator_immediate_breakdown():
     p = Pencil(SparseMatrix.identity(3, 2.0), SparseMatrix.identity(3))
     bp = regularize(p, 0.0, 1e-12)
     S = ShiftInvertOperator(bp, "forward")
-    d = arnoldi_run(S, np.array([1.0, 2.0, -1.0]), p_matrix(bp, "identity_block"), 3)
+    d = arnoldi_run(S, np.array([1.0, 2.0, -1.0]), 3)
     assert d.exact and d.breakdown == "lucky"
     assert d.steps == 1
     np.testing.assert_allclose(d.hess, [[0.5]], atol=1e-15)
@@ -59,9 +61,8 @@ def test_scalar_operator_immediate_breakdown():
 
 def test_diag_operator_matches_hand_gram_schmidt():
     S = DiagOperator([1.0, 0.5, 1.0 / 3.0])
-    n = 3
     v0 = np.ones(3) / np.sqrt(3)
-    d = arnoldi_run(S, v0, euclid_p(n), 2)
+    d = arnoldi_run(S, v0, 2)
     # explicit classical Gram-Schmidt on the Krylov sequence
     V = np.zeros((3, 3), dtype=complex)
     H = np.zeros((3, 2), dtype=complex)
@@ -78,9 +79,9 @@ def test_diag_operator_matches_hand_gram_schmidt():
 
 
 def test_toy_bordered_relation_residual(rng):
-    bp, S, P = toy_setup()
+    bp, S = toy_setup()
     v0 = start_vector(S, 7)
-    d = arnoldi_run(S, v0, P, 4)
+    d = arnoldi_run(S, v0, 4)
     assert relation_residual(d, S) <= 1e-10 * max(1.0, np.abs(d.hess).max())
 
 
@@ -88,33 +89,26 @@ def test_p_orthonormality_and_real_subdiagonals(rng):
     tol = problems.gen_tolerance_pencil()
     bp = regularize(tol.pencil, 0.0, 1e-12)
     S = ShiftInvertOperator(bp, "forward")
-    P = p_matrix(bp, "identity_block")
-    d = arnoldi_run(S, start_vector(S, 11), P, 6)
+    d = arnoldi_run(S, start_vector(S, 11), 6)
     cols = d.basis.shape[1]
-    G = np.empty((cols, cols), dtype=complex)
-    for i in range(cols):
-        for j in range(cols):
-            G[i, j] = P.inner(d.basis[:, i], d.basis[:, j])
-    assert np.abs(G - np.eye(cols)).max() <= 1e-10
+    assert np.abs(seminorm_gram(d) - np.eye(cols)).max() <= 1e-10
     sub = np.diag(d.hess, -1)
     assert np.all(sub.imag == 0.0) and np.all(sub.real >= 0.0)
 
 
 def test_start_vector_in_kernel_rejected():
-    bp, S, P = toy_setup()
+    bp, S = toy_setup()
+    assert S.leading == 4
     v0 = np.zeros(5, dtype=complex)
     v0[4] = 1.0  # pure border coordinate: seminorm kernel
     with pytest.raises(StartVectorError):
-        arnoldi_run(S, v0, P, 2)
+        arnoldi_run(S, v0, 2)
     with pytest.raises(ValueError):
-        arnoldi_run(S, np.ones(5), P, 0)
-
-
-def test_trace_output():
-    bp, S, P = toy_setup()
-    lines = []
-    arnoldi_run(S, start_vector(S, 3), P, 3, trace=lines.append)
-    assert lines and all("orth_defect" in ln for ln in lines)
+        arnoldi_run(S, np.ones(5), 0)
+    # the seminorm ignores the border: the start vector is scaled by 1/3
+    lead = np.array([1.0, 2.0, 2.0, 0.0, 7.0], dtype=complex)
+    d = arnoldi_run(S, lead, 1)
+    np.testing.assert_allclose(d.basis[:, 0], lead / 3.0, rtol=1e-15)
 
 
 # -- implicit restart -------------------------------------------------------------
@@ -122,7 +116,7 @@ def test_trace_output():
 def test_restart_on_invariant_vector_keeps_ritz_value():
     S = DiagOperator([0.5, 0.25])
     v0 = np.array([1.0, 0.0])
-    d = arnoldi_run(S, v0, euclid_p(2), 3)
+    d = arnoldi_run(S, v0, 3)
     assert d.exact and d.steps == 1
     r = implicit_restart_infinity(d)
     assert r.steps == 1
@@ -134,8 +128,7 @@ def test_restart_shrinks_by_one_and_preserves_relation(rng):
     tol = problems.gen_tolerance_pencil()
     bp = regularize(tol.pencil, 0.0, 1e-12)
     S = ShiftInvertOperator(bp, "forward")
-    P = p_matrix(bp, "identity_block")
-    d = arnoldi_run(S, start_vector(S, 5), P, 6)
+    d = arnoldi_run(S, start_vector(S, 5), 6)
     assert not d.exact
     r = implicit_restart_infinity(d)
     assert r.steps == d.steps - 1
@@ -143,11 +136,9 @@ def test_restart_shrinks_by_one_and_preserves_relation(rng):
     assert relation_residual(r, S) <= 1e-9 * max(1.0, np.abs(r.hess).max())
     sub = np.diag(r.hess, -1)
     assert np.all(sub.imag == 0.0) and np.all(sub.real >= 0.0)
-    # P-orthonormality survives the restart
-    cols = r.basis.shape[1]
-    G = np.array([[P.inner(r.basis[:, i], r.basis[:, j]) for j in range(cols)]
-                  for i in range(cols)])
-    assert np.abs(G - np.eye(cols)).max() <= 1e-10
+    # seminorm orthonormality survives the restart
+    assert r.leading == d.leading
+    assert np.abs(seminorm_gram(r) - np.eye(r.basis.shape[1])).max() <= 1e-10
 
 
 def test_restart_filters_space_by_operator(rng):
@@ -156,8 +147,7 @@ def test_restart_filters_space_by_operator(rng):
     tol = problems.gen_tolerance_pencil()
     bp = regularize(tol.pencil, 0.0, 1e-12)
     S = ShiftInvertOperator(bp, "forward")
-    P = p_matrix(bp, "identity_block")
-    d = arnoldi_run(S, start_vector(S, 3), P, 6)
+    d = arnoldi_run(S, start_vector(S, 3), 6)
     r = implicit_restart_infinity(d)
     SV = np.column_stack([S.apply(d.basis[:, j]) for j in range(d.basis.shape[1])])
     Q, _ = np.linalg.qr(SV)
@@ -172,10 +162,9 @@ def test_restart_purges_coordinate_nullspace_semisimple():
     B = SparseMatrix.from_dense(np.diag([1.0, 1.0, 1.0, 0.0]))
     bp = regularize(Pencil(A, B), 0.2, 1e-12)
     S = ShiftInvertOperator(bp, "forward")
-    P = p_matrix(bp, "identity_block")
     rng = np.random.default_rng(5)
     v0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)  # raw: e4 content
-    d = arnoldi_run(S, v0, P, 3)
+    d = arnoldi_run(S, v0, 3)
     r = implicit_restart_infinity(d)
     assert np.abs(r.basis[3, :]).max() <= 1e-10
 
@@ -183,7 +172,7 @@ def test_restart_purges_coordinate_nullspace_semisimple():
 def test_restart_requires_two_steps():
     S = DiagOperator([1.0, 0.5, 0.25])
     rng = np.random.default_rng(0)
-    d = arnoldi_run(S, rng.standard_normal(3) + 0j, euclid_p(3), 1)
+    d = arnoldi_run(S, rng.standard_normal(3) + 0j, 1)
     if not d.exact:
         with pytest.raises(ValueError):
             implicit_restart_infinity(d)
@@ -193,7 +182,7 @@ def test_restart_requires_two_steps():
 
 def test_ritz_single_breakdown_zero_residual():
     S = DiagOperator([0.5, 0.25])
-    d = arnoldi_run(S, np.array([1.0, 0.0]), euclid_p(2), 2)
+    d = arnoldi_run(S, np.array([1.0, 0.0]), 2)
     pairs = ritz_pairs(d)
     assert len(pairs) == 1
     assert pairs[0].theta == pytest.approx(0.5)
@@ -204,7 +193,7 @@ def test_ritz_full_run_recovers_diag_spectrum(rng):
     entries = np.array([1.0, 0.5, 1.0 / 3.0, 0.25])
     S = DiagOperator(entries)
     v0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    d = arnoldi_run(S, v0, euclid_p(4), 4)
+    d = arnoldi_run(S, v0, 4)
     thetas = sorted((p.theta.real for p in ritz_pairs(d)), reverse=True)
     np.testing.assert_allclose(thetas, sorted(entries, reverse=True), atol=1e-12)
 
@@ -213,7 +202,7 @@ def test_ritz_sorted_by_residual(rng):
     tol = problems.gen_tolerance_pencil()
     bp = regularize(tol.pencil, 0.0, 1e-12)
     S = ShiftInvertOperator(bp, "forward")
-    d = arnoldi_run(S, start_vector(S, 9), p_matrix(bp, "identity_block"), 5)
+    d = arnoldi_run(S, start_vector(S, 9), 5)
     res = [p.residual_estimate for p in ritz_pairs(d)]
     assert res == sorted(res)
 
@@ -240,13 +229,13 @@ def dense_euclid_arnoldi(Amat, x0, steps):
 def test_hessenberg_equals_compressed_operator_arnoldi(rng):
     """With the leading-block seminorm, the Hessenberg matrix equals the one
     from plain Euclidean Arnoldi on the compressed operator."""
-    bp, S, P = toy_setup()
+    bp, S = toy_setup()
     n = 4
     Md = bp.shifted_matrix.to_dense()
     Bd = bp.base.B.to_dense()
     compressed = np.linalg.solve(Md, np.vstack([Bd, np.zeros((1, 4))]))[:n, :]
     v0 = start_vector(S, 123)
-    d = arnoldi_run(S, v0, P, 4)
+    d = arnoldi_run(S, v0, 4)
     x0 = v0[:n]
     _, Hd, _ = dense_euclid_arnoldi(compressed, x0, 4)
     k = min(d.hess.shape[0], Hd.shape[0]), min(d.hess.shape[1], Hd.shape[1])
@@ -256,14 +245,14 @@ def test_hessenberg_equals_compressed_operator_arnoldi(rng):
 def test_border_infinite_copies_not_seen():
     """The full bordered operator has one more zero eigenvalue than the
     compressed operator; the seminorm iteration never surfaces it."""
-    bp, S, P = toy_setup()
+    bp, S = toy_setup()
     Md = bp.shifted_matrix.to_dense()
     Bhd = bp.b_matrix.to_dense()
     full_zeros = np.sum(np.abs(np.linalg.eigvals(np.linalg.solve(Md, Bhd))) <= 1e-12)
     compressed = np.linalg.solve(Md, Bhd)[:4, :4]
     comp_zeros = np.sum(np.abs(np.linalg.eigvals(compressed)) <= 1e-12)
     assert full_zeros == comp_zeros + 1  # the border-induced copy
-    d = arnoldi_run(S, start_vector(S, 17), P, 5)
+    d = arnoldi_run(S, start_vector(S, 17), 5)
     thetas = np.array([p.theta for p in ritz_pairs(d)])
     assert np.sum(np.abs(thetas) <= 1e-12) <= comp_zeros
     assert np.any(np.abs(thetas - 1.0) <= 1e-10)  # the true eigenvalue
@@ -273,28 +262,28 @@ def test_border_infinite_copies_not_seen():
 # -- purification ----------------------------------------------------------------------
 
 def test_purify_fixes_eigenvector():
-    bp, S, P = toy_setup()
+    bp, S = toy_setup()
     e1 = np.zeros(5, dtype=complex)
     e1[0] = 1.0
-    out = purify(bp, e1)
+    out = purify(S, e1)
     assert 1.0 - abs(np.vdot(out, e1)) <= 1e-12
 
 
 def test_purify_removes_constructed_contamination():
-    bp, S, P = toy_setup()
+    bp, S = toy_setup()
     e1 = np.zeros(5, dtype=complex)
     e1[0] = 1.0
     null = np.zeros(5, dtype=complex)
     null[2] = 0.4   # zero column of B
     null[4] = -0.3  # border coordinate
-    out = purify(bp, e1 + null)
+    out = purify(S, e1 + null)
     assert 1.0 - abs(np.vdot(out, e1)) <= 1e-10
     assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
 
 
 def test_purify_pure_nullspace_errors():
-    bp, S, P = toy_setup()
+    bp, S = toy_setup()
     null = np.zeros(5, dtype=complex)
     null[4] = 1.0
     with pytest.raises(PurificationError):
-        purify(bp, null)
+        purify(S, null)

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from singpencil import problems, rank_lu
-from singpencil.bordered import (Pencil, ShiftInvertOperator, assemble_bordered,
-                                 p_matrix, regularize)
+from singpencil.bordered import Pencil, ShiftInvertOperator, assemble_bordered, regularize
 from singpencil.dense import dense_rank
-from singpencil.errors import DimensionMismatch, NonFiniteInput, SingPencilError
+from singpencil.errors import DimensionMismatch, NonFiniteInput
 from singpencil.sparse import SparseMatrix, add_scaled, spmv
 
 from conftest import random_rank_matrix
@@ -27,6 +26,9 @@ def toy_bp(sigma=0.0, tau=1e-12):
 def test_pencil_validation():
     with pytest.raises(DimensionMismatch):
         Pencil(SparseMatrix.identity(3), SparseMatrix.identity(4))
+    for shape in [(0, 0), (3, 0), (0, 3)]:
+        with pytest.raises(DimensionMismatch, match="empty"):
+            Pencil(SparseMatrix.zeros(*shape), SparseMatrix.zeros(*shape))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
@@ -105,47 +107,11 @@ def test_operator_validation():
         ShiftInvertOperator(bp, "forward").apply(np.ones(3))
 
 
-# -- semi-inner products ----------------------------------------------------------
-
-def test_p_matrix_identity_block_seminorm():
-    bp = toy_bp()
-    P = p_matrix(bp, "identity_block")
-    kernel_vec = np.zeros(5, dtype=complex)
-    kernel_vec[4] = 3.0
-    assert P.norm(kernel_vec) == 0.0
-    lead = np.array([1.0, 2.0, 2.0, 0.0, 7.0], dtype=complex)
-    assert abs(P.norm(lead) - 3.0) <= 1e-15
-
-
-def test_p_matrix_b_block_with_identity_is_euclidean(rng):
-    p = Pencil(SparseMatrix.from_dense(np.diag([1.0, 2, 3])), SparseMatrix.identity(3))
-    bp = regularize(p, 0.25, 1e-12)
-    P = p_matrix(bp, "b_block")
-    v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    assert abs(P.norm(v) - np.linalg.norm(v)) <= 1e-14
-
-
-def test_p_matrix_b_block_rejects_bad_b():
-    # non-Hermitian B
-    Bn = SparseMatrix.from_dense(np.array([[1.0, 1.0], [0.0, 1.0]]))
-    p = Pencil(SparseMatrix.identity(2), Bn)
-    bp = regularize(p, 5.0, 1e-12)
-    with pytest.raises(SingPencilError):
-        p_matrix(bp, "b_block")
-    # indefinite B
-    p2 = Pencil(SparseMatrix.identity(2), SparseMatrix.from_dense(np.diag([1.0, -1.0])))
-    bp2 = regularize(p2, 5.0, 1e-12)
-    with pytest.raises(SingPencilError):
-        p_matrix(bp2, "b_block")
-    with pytest.raises(ValueError):
-        p_matrix(bp2, "banana")
-
-
-def test_p_matrix_adjoint_side_leading():
+def test_operator_leading_side():
     rect = problems.gen_rectangular(n=12)
     bp = regularize(rect.pencil, 0.9, 1e-12)
-    assert p_matrix(bp, "identity_block").leading == 10          # ncols
-    assert p_matrix(bp, "identity_block", adjoint_side=True).leading == 12  # nrows
+    assert ShiftInvertOperator(bp, "forward").leading == 10            # ncols
+    assert ShiftInvertOperator(bp, "transposed_pencil").leading == 12  # nrows
 
 
 # -- rectangular paths --------------------------------------------------------------

@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 from jsonschema import validate as schema_validate
 
@@ -106,17 +105,29 @@ def test_bad_option_values_are_usage_errors(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_solve_numerical_failure_exit_2(tmp_path, capsys):
-    # b_block inner product on an indefinite B is a numerical failure
-    A = SparseMatrix.identity(2)
-    B = SparseMatrix.from_dense(np.diag([1.0, -1.0]))
-    a, b = tmp_path / "A.mtx", tmp_path / "B.mtx"
-    write_matrix_market(a, A)
-    write_matrix_market(b, B)
-    code, _, err = run(capsys, "solve", "--a", str(a), "--b", str(b),
-                       "--shift", "5", "--steps", "2", "--p", "b")
+@pytest.mark.parametrize("shapes", [
+    ((3, 3), (3, 4)),
+    ((0, 0), (0, 0)),
+    ((3, 0), (3, 0)),
+], ids=["shape-mismatch", "empty", "no-columns"])
+@pytest.mark.parametrize("command", [["solve"], ["rank", "--taus", "1e-12"]],
+                         ids=["solve", "rank"])
+def test_bad_pencil_files_are_usage_errors(tmp_path, capsys, command, shapes):
+    paths = []
+    for name, shape in zip("AB", shapes):
+        paths.append(tmp_path / f"{name}.mtx")
+        write_matrix_market(paths[-1], SparseMatrix.zeros(*shape))
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--a", str(paths[0]), "--b", str(paths[1])])
+    assert exc.value.code == 1
+    assert "bad input" in capsys.readouterr().err
+
+
+def test_solve_numerical_failure_exit_2(capsys):
+    # at shift 1 the toy's only finite eigenvalue is the shift itself
+    code, _, err = run(capsys, "solve", "--generate", "kronecker_toy", "--shift", "1")
     assert code == 2
-    assert "numerical failure" in err
+    assert "numerical failure" in err and "seminorm kernel" in err
 
 
 def test_rank_sweep_table(capsys):

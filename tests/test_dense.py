@@ -197,7 +197,8 @@ def test_generalized_singular_ah_rejected():
 @pytest.mark.parametrize("Ah, Bh", [
     (np.eye(3), np.diag([1.0, 1.0], 1)),  # nilpotent: one defective theta = 0
     (np.eye(2), 0.5 * np.eye(2)),          # one double theta = 2
-], ids=["nilpotent", "coincident"])
+    (np.eye(4), np.diag([2.0, 2, 2, 1])),  # a triple theta and a simple one
+], ids=["nilpotent", "coincident", "triple"])
 def test_generalized_left_vectors_are_null_vectors(Ah, Bh):
     eig = small_generalized_eig(Ah, Bh)
     theta = np.zeros(eig.eigenvalues.size, dtype=complex)
@@ -209,6 +210,8 @@ def test_generalized_left_vectors_are_null_vectors(Ah, Bh):
         assert np.linalg.norm(Y[:, i].conj() @ (Bh - theta[i] * Ah)) <= 1e-14
     if eig.infinite.all():  # nilpotent Bh: its only left null vector is e_3
         np.testing.assert_allclose(np.abs(Y[2]), 1.0, atol=1e-14)
+    else:  # semisimple: the copies of a repeated theta span its left eigenspace
+        assert np.linalg.matrix_rank(Y) == theta.size
 
 
 # -- dense_rank -------------------------------------------------------------------

@@ -111,12 +111,6 @@ def test_round_trip_bitwise_real(tmp_path, rng):
     assert M2.values.tobytes() == M.values.tobytes()
 
 
-def test_write_real_field_rejects_complex(tmp_path):
-    M = SparseMatrix.from_coo(1, 1, [0], [0], [1 + 1j])
-    with pytest.raises(MatrixMarketError):
-        write_matrix_market(tmp_path / "x.mtx", M, field="real")
-
-
 def test_empty_matrix_round_trip(tmp_path):
     M = SparseMatrix.zeros(3, 5)
     p = tmp_path / "z.mtx"

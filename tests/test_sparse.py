@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from singpencil.errors import DimensionMismatch
-from singpencil.sparse import (SparseMatrix, add_scaled, adjoint,
-                               norm_estimate, spmv, spmv_adjoint,
-                               two_norm_estimate)
+from singpencil.sparse import (SparseMatrix, add_scaled, norm_estimate, spmv,
+                               spmv_adjoint, two_norm_estimate)
 
 from conftest import random_sparse
 
@@ -149,9 +148,8 @@ def test_two_norm_estimate_close_to_spectral(rng):
 
 # -- helpers -------------------------------------------------------------------
 
-def test_adjoint_and_add_scaled(rng):
+def test_add_scaled(rng):
     A = random_sparse(rng, 4, 6, density=0.5)
-    np.testing.assert_allclose(adjoint(A).to_dense(), A.to_dense().conj().T)
     B = random_sparse(rng, 4, 6, density=0.5)
     np.testing.assert_allclose(add_scaled(A, -2.5j, B).to_dense(),
                                A.to_dense() - 2.5j * B.to_dense())

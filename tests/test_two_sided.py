@@ -66,8 +66,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(classify_threshold=0.0)
     with pytest.raises(ValueError):
-        SolverConfig(p_kind="nonsense")
-    with pytest.raises(ValueError):
         SolverConfig(implicit_restarts=-1)
 
 
@@ -135,25 +133,19 @@ def test_small_quadratic_companion_classification():
     assert len(trues) == 1 and abs(trues[0] - 1.0) <= 1e-6
 
 
-def test_rectangular_one_sided_and_forced_two_sided_agree():
+def test_rectangular_pencil_runs_one_sided():
     rect = problems.gen_rectangular(n=24)
     cfg = SolverConfig(sigma=0.9, tau=1e-12, krylov_steps=10, implicit_restarts=2)
     res = solve_singular_full(rect.pencil, cfg)
     assert res.one_sided
     t1 = sorted(t.lam.real for t in res.triplets if t.label == "True")
-    cfg2 = SolverConfig(sigma=0.9, tau=1e-12, krylov_steps=10,
-                        implicit_restarts=2, force_two_sided=True)
-    res2 = solve_singular_full(rect.pencil, cfg2)
-    assert not res2.one_sided
-    t2 = sorted(t.lam.real for t in res2.triplets if t.label == "True")
     np.testing.assert_allclose(t1, [1.0], atol=1e-8)
-    np.testing.assert_allclose(t2, [1.0], atol=1e-8)
 
 
 def test_wide_pencil_full_pipeline():
-    from singpencil.sparse import adjoint
     rect = problems.gen_rectangular(n=24)
-    wide = Pencil(adjoint(rect.pencil.A), adjoint(rect.pencil.B))
+    wide = Pencil(*(SparseMatrix.from_dense(M.to_dense().conj().T)
+                    for M in (rect.pencil.A, rect.pencil.B)))
     cfg = SolverConfig(sigma=0.9, tau=1e-12, krylov_steps=10, implicit_restarts=2)
     res = solve_singular_full(wide, cfg)
     assert not res.one_sided
