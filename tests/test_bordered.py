@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from singpencil import problems, rank_lu
+from singpencil.arnoldi import arnoldi_run
 from singpencil.bordered import Pencil, ShiftInvertOperator, assemble_bordered, regularize
 from singpencil.dense import dense_rank
-from singpencil.errors import DimensionMismatch, NonFiniteInput
+from singpencil.errors import DimensionMismatch, NonFiniteInput, StartVectorError
 from singpencil.sparse import SparseMatrix, add_scaled, spmv
 
 from conftest import random_rank_matrix
@@ -112,6 +113,19 @@ def test_operator_leading_side():
     bp = regularize(rect.pencil, 0.9, 1e-12)
     assert ShiftInvertOperator(bp, "forward").leading == 10            # ncols
     assert ShiftInvertOperator(bp, "transposed_pencil").leading == 12  # nrows
+
+
+def test_p_matrix_identity_block_seminorm():
+    # the Krylov seminorm is diag(I, 0): border coordinates are ignored
+    S = ShiftInvertOperator(toy_bp(), "forward")
+    assert S.leading == 4
+    kernel_vec = np.zeros(5, dtype=complex)
+    kernel_vec[4] = 3.0
+    with pytest.raises(StartVectorError):
+        arnoldi_run(S, kernel_vec, 1)
+    lead = np.array([1.0, 2.0, 2.0, 0.0, 7.0], dtype=complex)
+    d = arnoldi_run(S, lead, 1)
+    np.testing.assert_allclose(d.basis[:, 0], lead / 3.0, rtol=1e-15)
 
 
 # -- rectangular paths --------------------------------------------------------------
