@@ -9,7 +9,7 @@ from .mmio import read_matrix_market, write_matrix_market
 from .dense import DenseQR, DenseEig, qr, hessenberg_eig, small_generalized_eig, dense_rank
 from .rank_lu import RankLU, factor, solve, solve_adjoint
 from .bordered import (Pencil, BorderedPencil, ShiftInvertOperator, regularize,
-                       assemble_bordered, assemble_bordered_b)
+                       assemble_bordered)
 from .arnoldi import (ArnoldiDecomposition, RitzPair, arnoldi_run,
                       implicit_restart_infinity, ritz_pairs, purify, start_vector)
 from .two_sided import (SolverConfig, EigenTriplet, SolveResult, solve_singular,

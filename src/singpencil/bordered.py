@@ -73,14 +73,6 @@ def assemble_bordered(M, V, W):
     return SparseMatrix.from_coo(size, size, rows, cols, vals)
 
 
-def assemble_bordered_b(B, size):
-    """Square sparse ``[[B, 0], [0, 0]]`` of the given bordered size."""
-    if size < max(B.shape):
-        raise DimensionMismatch("bordered size smaller than B")
-    rows, cols, vals = B.coo()
-    return SparseMatrix.from_coo(size, size, rows, cols, vals)
-
-
 @dataclass(frozen=True)
 class BorderedPencil:
     """A pencil together with its regularizing border and factorization.
@@ -117,7 +109,7 @@ class BorderedPencil:
     @cached_property
     def b_matrix(self):
         """Bordered ``[[B, 0], [0, 0]]``."""
-        return assemble_bordered_b(self.base.B, self.size)
+        return SparseMatrix.from_coo(self.size, self.size, *self.base.B.coo())
 
 
 def regularize(p, sigma, tau):

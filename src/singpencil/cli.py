@@ -21,7 +21,7 @@ from .bordered import Pencil
 from .errors import SingPencilError
 from .mmio import MatrixMarketError, read_matrix_market, write_matrix_market
 from .two_sided import (SolverConfig, result_table_text, result_to_dict,
-                        solve_singular_full, tau_sweep)
+                        result_to_json, solve_singular_full, tau_sweep)
 
 USAGE_ERROR = 1
 NUMERICAL_ERROR = 2
@@ -131,7 +131,7 @@ def cmd_solve(args, parser):
     if args.format == "text":
         rendered = result_table_text(result) + "\n"
     elif args.format == "json":
-        rendered = json.dumps(d, indent=2, sort_keys=True) + "\n"
+        rendered = result_to_json(result) + "\n"
     else:
         rendered = _render_csv(d)
 
@@ -166,10 +166,12 @@ def cmd_rank(args, parser):
         parser.error(f"bad --taus: {exc}")
     if not taus:
         parser.error("--taus must list at least one tolerance")
-    cfgs = [_config(parser, args.shift, tau=tau, seed=args.seed) for tau in taus]
+    cfgs = [_config(parser, args.shift, tau=tau) for tau in taus]
     pencil, _ = _load_problem(args, parser)
-    report = tau_sweep(pencil, cfgs[0], taus)
-    print(report.to_text())
+    factors = tau_sweep(pencil, cfgs[0].sigma, taus)
+    print(f"{'tau':>12}  {'border_rows':>11}  {'border_cols':>11}  {'detected_rank':>13}")
+    for F in factors:
+        print(f"{F.tau:>12.3e}  {F.border_rows:>11d}  {F.border_cols:>11d}  {F.detected_rank:>13d}")
     return 0
 
 
@@ -221,7 +223,6 @@ def build_parser():
     _add_problem_args(pr)
     pr.add_argument("--shift", default="0", help="shift sigma as re or re,im")
     pr.add_argument("--taus", required=True, help="comma-separated tolerances")
-    pr.add_argument("--seed", type=int, default=42)
     pr.set_defaults(func=cmd_rank)
 
     pe = sub.add_parser("export", help="write a generated problem to Matrix Market")

@@ -7,6 +7,7 @@ independent cross-check for the sparse factorization.
 """
 
 from dataclasses import dataclass
+from itertools import takewhile
 
 import numpy as np
 
@@ -167,6 +168,27 @@ def small_generalized_eig(Ah, Bh, sigma=0.0):
     )
 
 
+def full_pivots(M):
+    """Pivot magnitudes of Gaussian elimination with full pivoting, in
+    order; lazy, and stops before an exact zero pivot."""
+    A = np.array(M, dtype=np.complex128, copy=True)
+    for step in range(min(A.shape)):
+        sub = np.abs(A[step:, step:])
+        p = sub.max()
+        if p == 0.0:
+            return
+        yield p
+        i, j = np.unravel_index(np.argmax(sub), sub.shape)
+        i += step
+        j += step
+        if i != step:
+            A[[step, i], :] = A[[i, step], :]
+        if j != step:
+            A[:, [step, j]] = A[:, [j, step]]
+        mult = A[step + 1:, step] / A[step, step]
+        A[step + 1:, step:] -= np.outer(mult, A[step, step:])
+
+
 def dense_rank(M, tol):
     """Rank by Gaussian elimination with full pivoting.
 
@@ -177,29 +199,8 @@ def dense_rank(M, tol):
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    A = np.array(M, dtype=np.complex128, copy=True)
+    A = np.asarray(M, dtype=np.complex128)
     if A.ndim != 2:
         raise DimensionMismatch("dense_rank expects a 2-d matrix")
-    if A.size == 0:
-        return 0
-    scale = np.abs(A).max()
-    if scale == 0.0:
-        return 0
-    rank = 0
-    for step in range(min(A.shape)):
-        sub = np.abs(A[step:, step:])
-        p = sub.max()
-        if p <= tol * scale or p == 0.0:
-            break
-        i, j = np.unravel_index(np.argmax(sub), sub.shape)
-        i += step
-        j += step
-        if i != step:
-            A[[step, i], :] = A[[i, step], :]
-        if j != step:
-            A[:, [step, j]] = A[:, [j, step]]
-        piv = A[step, step]
-        mult = A[step + 1:, step] / piv
-        A[step + 1:, step:] -= np.outer(mult, A[step, step:])
-        rank += 1
-    return rank
+    scale = np.abs(A).max() if A.size else 0.0
+    return sum(1 for _ in takewhile(lambda p: p > tol * scale, full_pivots(A)))

@@ -24,8 +24,9 @@ def read_matrix_market(path):
 
     Raises :class:`MatrixMarketError` for a bad banner or size line, an
     entry line with the wrong number of fields, an index that is not an
-    integer in ``[1, nrows]`` / ``[1, ncols]``, a non-finite value, or an
-    entry count that differs from the size line.
+    integer in ``[1, nrows]`` / ``[1, ncols]``, a non-finite value, a
+    value that is not an integer in an ``integer`` file, or an entry count
+    that differs from the size line.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline()
@@ -54,7 +55,9 @@ def read_matrix_market(path):
         if min(nrows, ncols, nnz) < 0:
             raise MatrixMarketError(f"{path}: negative size in {line!r}")
 
-        dtype = [("row", np.int64), ("col", np.int64), ("re", np.float64)]
+        # an integer file's values parse as int64, so a fraction is rejected
+        value = np.int64 if field == "integer" else np.float64
+        dtype = [("row", np.int64), ("col", np.int64), ("re", value)]
         if field == "complex":
             dtype.append(("im", np.float64))
         try:

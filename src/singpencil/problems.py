@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bordered import Pencil
-from .dense import dense_rank
+from .dense import dense_rank, full_pivots
 from .errors import DimensionMismatch
 from .sparse import SparseMatrix, add_scaled
 
@@ -228,24 +228,10 @@ def _pencil_value(p, lam):
 
 
 def _smallest_pivot(dense_mat):
-    """Magnitude of the smallest full pivot (0 if structurally singular)."""
-    A = np.array(dense_mat, dtype=np.complex128, copy=True)
-    piv = np.inf
-    for step in range(min(A.shape)):
-        sub = np.abs(A[step:, step:])
-        pmax = sub.max()
-        if pmax == 0.0:
-            return 0.0
-        piv = min(piv, pmax)
-        i, j = np.unravel_index(np.argmax(sub), sub.shape)
-        i += step; j += step
-        if i != step:
-            A[[step, i], :] = A[[i, step], :]
-        if j != step:
-            A[:, [step, j]] = A[:, [j, step]]
-        mult = A[step + 1:, step] / A[step, step]
-        A[step + 1:, step:] -= np.outer(mult, A[step, step:])
-    return float(piv)
+    """Magnitude of the smallest full pivot (0 if elimination meets an
+    exact zero pivot)."""
+    pivots = list(full_pivots(dense_mat))
+    return float(min(pivots)) if len(pivots) == min(dense_mat.shape) else 0.0
 
 
 def _golden_min(f, a, b, iters=60):

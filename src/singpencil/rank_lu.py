@@ -108,7 +108,6 @@ def factor(M, tau):
     perm = np.full(cap, -1, dtype=np.int64)       # pivot step -> source row
     pos_of_src = np.arange(cap, dtype=np.int64)
     src_of_pos = np.arange(cap, dtype=np.int64)
-    stamp = np.full(m, -1, dtype=np.int64)        # heap dedup per column
     l_rows, l_vals = [], []                       # per step, source-row indexed
     u_rows, u_vals = [], []                       # per column, position indexed
     breakdown_steps, breakdown_pivots = [], []
@@ -123,8 +122,7 @@ def factor(M, tau):
             touched[r] = True
             touch.append(r)
             k = pinv[r]
-            if k >= 0 and stamp[k] != t:
-                stamp[k] = t
+            if k >= 0:
                 heapq.heappush(heap, int(k))
 
         # lower-triangular solve restricted to the nonzero pattern;
@@ -147,8 +145,7 @@ def factor(M, tau):
                     touch.extend(fresh.tolist())
                     for r in fresh.tolist():
                         k2 = pinv[r]
-                        if k2 >= 0 and stamp[k2] != t:
-                            stamp[k2] = t
+                        if k2 >= 0:
                             heapq.heappush(heap, int(k2))
 
         # partial pivot search in the Schur-complement column; ties break
@@ -203,9 +200,7 @@ def factor(M, tau):
     wcols = n_final - m
     detected_rank = m - ell
     leftovers = src_of_pos[m:n_final].copy()
-    for j, r in enumerate(leftovers.tolist()):
-        perm[m + j] = r
-        pinv[r] = m + j
+    perm[m:n_final] = leftovers
 
     # assemble L (unit lower triangular; trailing border columns are identity)
     lr_all, lc_all, lv_all = [], [], []

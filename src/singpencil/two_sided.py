@@ -270,38 +270,13 @@ def _two_sided_triplets(S, Sa, fwd, adj, cfg):
     return out
 
 
-@dataclass(frozen=True)
-class TauSweepRow:
-    tau: float
-    border_rows: int
-    border_cols: int
-    detected_rank: int
-
-
-@dataclass(frozen=True)
-class TauSweepReport:
-    rows: list
-
-    def to_text(self):
-        lines = [f"{'tau':>12}  {'border_rows':>11}  {'border_cols':>11}  {'detected_rank':>13}"]
-        for r in self.rows:
-            lines.append(f"{r.tau:>12.3e}  {r.border_rows:>11d}  {r.border_cols:>11d}  {r.detected_rank:>13d}")
-        return "\n".join(lines)
-
-
-def tau_sweep(p, cfg, taus):
-    """Factor at several tolerances and report the border dimensions, so a
-    user can pick a tau where the border size is stable."""
+def tau_sweep(p, sigma, taus):
+    """Factor ``A - sigma B`` at each tolerance and return one
+    :class:`~singpencil.rank_lu.RankLU` per tau, so a user can pick a tau
+    where the border size is stable."""
     if not taus:
         raise ValueError("taus must be nonempty")
-    rows = []
-    for tau in taus:
-        bp = regularize(p, cfg.sigma, tau)
-        rows.append(TauSweepRow(tau=float(tau),
-                                border_rows=bp.V.ncols,
-                                border_cols=bp.W.ncols,
-                                detected_rank=bp.normal_rank))
-    return TauSweepReport(rows=rows)
+    return [regularize(p, sigma, tau).lu for tau in taus]
 
 
 # -- result serialization ----------------------------------------------------
@@ -322,17 +297,11 @@ def result_table_text(result):
     Two-sided runs show left/right border norms; one-sided runs show the
     recurrence residual and the right border norm.
     """
-    lines = []
-    if result.one_sided:
-        lines.append(f"{'eigenvalue':>22}  {'residual':>12}  {'x_border':>12}  label")
-        for t in result.triplets:
-            lines.append(f"{_fmt_lam(t):>22}  {t.residual_right:>12.3e}  "
-                         f"{t.x_border_norm:>12.3e}  {t.label}")
-    else:
-        lines.append(f"{'eigenvalue':>22}  {'y_border':>12}  {'x_border':>12}  label")
-        for t in result.triplets:
-            lines.append(f"{_fmt_lam(t):>22}  {t.y_border_norm:>12.3e}  "
-                         f"{t.x_border_norm:>12.3e}  {t.label}")
+    middle = "residual" if result.one_sided else "y_border"
+    lines = [f"{'eigenvalue':>22}  {middle:>12}  {'x_border':>12}  label"]
+    for t in result.triplets:
+        m = t.residual_right if result.one_sided else t.y_border_norm
+        lines.append(f"{_fmt_lam(t):>22}  {m:>12.3e}  {t.x_border_norm:>12.3e}  {t.label}")
     flagged = [t for t in result.triplets if t.flags]
     for t in flagged:
         lines.append(f"# note: {_fmt_lam(t)} flagged {','.join(t.flags)}")

@@ -20,7 +20,6 @@ than loosened, in their own clearly named test functions:
 import time
 
 import numpy as np
-import pytest
 
 import singpencil as sp
 from singpencil import problems

@@ -6,7 +6,7 @@ from singpencil.arnoldi import arnoldi_run
 from singpencil.bordered import Pencil, ShiftInvertOperator, assemble_bordered, regularize
 from singpencil.dense import dense_rank
 from singpencil.errors import DimensionMismatch, NonFiniteInput, StartVectorError
-from singpencil.sparse import SparseMatrix, add_scaled, spmv
+from singpencil.sparse import SparseMatrix, add_scaled
 
 from conftest import random_rank_matrix
 

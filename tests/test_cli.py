@@ -97,6 +97,7 @@ def test_solve_usage_errors(tmp_path, capsys):
     ["solve", "--tau", "nan"],
     ["solve", "--tau", "1"],
     ["rank", "--taus", "0.1,2"],
+    ["rank", "--taus", "1e-12", "--seed", "1"],
 ], ids=lambda a: " ".join(a))
 def test_bad_option_values_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -135,6 +136,7 @@ def test_rank_sweep_table(capsys):
                        "--taus", "2.2e-15,1e-5,0.2")
     assert code == 0
     lines = out.splitlines()
+    assert len(lines) == 4 and "border_rows" in lines[0]
     ranks = [int(ln.split()[-1]) for ln in lines[1:]]
     assert ranks == [8, 8, 7]
     borders = [int(ln.split()[1]) for ln in lines[1:]]

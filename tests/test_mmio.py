@@ -75,6 +75,8 @@ def _case(name, text, expected=None):
     _case("non-integral-size", "real general\n2 2 1.5\n1 1 1\n"),
     _case("negative-size", "real general\n2 -2 0\n"),
     _case("more-entries-than-declared", "real general\n2 2 0\n1 1 1\n"),
+    _case("integer-values", "integer general\n2 2 2\n1 1 3\n2 2 -4\n", [[3, 0], [0, -4]]),
+    _case("fraction-in-integer-file", "integer general\n2 2 1\n1 1 1.5\n"),
 ])
 def test_read_validates_entries(tmp_path, capsys, text, expected):
     p = tmp_path / "m.mtx"

@@ -4,7 +4,7 @@ import pytest
 from singpencil import problems, regularize
 from singpencil.dense import dense_rank
 from singpencil.errors import DimensionMismatch
-from singpencil.sparse import add_scaled, spmv
+from singpencil.sparse import add_scaled
 
 
 def pencil_value(p, lam):

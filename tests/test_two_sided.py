@@ -179,28 +179,25 @@ def test_true_set_robust_over_start_vectors(seed):
 
 def test_tau_sweep_clean_reference():
     tol = problems.gen_tolerance_pencil()
-    cfg = SolverConfig(sigma=0.0)
-    report = tau_sweep(tol.pencil, cfg, [2.2e-15, 1e-5, 0.2])
-    assert [r.border_rows for r in report.rows] == [2, 2, 3]
-    assert [r.detected_rank for r in report.rows] == [8, 8, 7]
-    text = report.to_text()
-    assert "border_rows" in text and len(text.splitlines()) == 4
+    factors = tau_sweep(tol.pencil, 0.0, [2.2e-15, 1e-5, 0.2])
+    assert [F.tau for F in factors] == [2.2e-15, 1e-5, 0.2]
+    assert [F.border_rows for F in factors] == [2, 2, 3]
+    assert [F.detected_rank for F in factors] == [8, 8, 7]
 
 
 def test_tau_sweep_perturbed_reference():
     pert = problems.gen_tolerance_pencil(perturbed=True)
-    cfg = SolverConfig(sigma=0.0)
-    report = tau_sweep(pert.pencil, cfg, [1e-16, 1e-10, 1e-5])
-    assert [r.border_rows for r in report.rows] == [1, 2, 3]
+    factors = tau_sweep(pert.pencil, 0.0, [1e-16, 1e-10, 1e-5])
+    assert [F.border_rows for F in factors] == [1, 2, 3]
 
 
 def test_tau_sweep_identity_pencil():
     p = Pencil(SparseMatrix.identity(4), SparseMatrix.identity(4))
-    cfg = SolverConfig(sigma=3.0)
-    report = tau_sweep(p, cfg, [1e-15, 1e-8, 1e-2])
-    assert all(r.border_rows == 0 and r.border_cols == 0 for r in report.rows)
+    factors = tau_sweep(p, 3.0, [1e-15, 1e-8, 1e-2])
+    assert len(factors) == 3
+    assert all(F.border_rows == 0 and F.border_cols == 0 for F in factors)
     with pytest.raises(ValueError):
-        tau_sweep(p, cfg, [])
+        tau_sweep(p, 3.0, [])
 
 
 # -- serialization --------------------------------------------------------------------
