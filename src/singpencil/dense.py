@@ -11,7 +11,7 @@ from itertools import takewhile
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionMismatch
+from .errors import ConvergenceError, DimensionMismatch, NonFiniteInput
 
 #: |theta| below this multiple of the operator scale is treated as an
 #: eigenvalue at infinity of the underlying pencil.
@@ -195,12 +195,15 @@ def dense_rank(M, tol):
     Elimination stops when the largest remaining pivot is at most
     ``tol`` times the largest initial pivot.  ``tol == 0`` stops only at
     exact zeros.  This is the verification oracle for the sparse
-    rank-detecting factorization.
+    rank-detecting factorization; it raises :class:`NonFiniteInput` for an
+    inf or NaN entry, whose rank it cannot tell.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     A = np.asarray(M, dtype=np.complex128)
     if A.ndim != 2:
         raise DimensionMismatch("dense_rank expects a 2-d matrix")
+    if not np.all(np.isfinite(A)):
+        raise NonFiniteInput("dense_rank: the matrix has a non-finite entry")
     scale = np.abs(A).max() if A.size else 0.0
     return sum(1 for _ in takewhile(lambda p: p > tol * scale, full_pivots(A)))

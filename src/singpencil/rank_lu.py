@@ -13,6 +13,12 @@ unit border columns W so the bordered matrix
 
 is square and nonsingular, with ``P @ bordered == L @ U`` exactly (up to
 rounding).  The number of breakdowns reveals the numerical rank of M.
+
+When the factor fills in, the sparse loop gives up and the factorization
+restarts from column 0 in a dense blocked right-looking kernel with the
+same pivot, tie-break and breakdown rules (the sparse-to-dense switch of
+UMFPACK and CHOLMOD).  ``RankLU.path`` records which kernel produced the
+factor; no option chooses it.
 """
 
 import heapq
@@ -20,8 +26,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, FactorizationError
+from .errors import DimensionMismatch, FactorizationError, NonFiniteInput
 from .sparse import SparseMatrix, two_norm_estimate
+
+#: Columns per panel of the dense kernel; its working array also grows by
+#: this many rows at a time.
+_PANEL = 64
+#: The sparse kernel restarts in the dense one after column ``t`` (from
+#: ``_DENSE_MIN_COL`` on) once nnz(L+U) so far exceeds
+#: ``_DENSE_FILL * (t + 1) * rows``, if the dense working array fits in
+#: ``_DENSE_MAX_BYTES`` at the largest size it can grow to: one row per row
+#: of M and per breakdown, at most one per column, plus a panel of slack.
+_DENSE_MIN_COL = 31
+_DENSE_FILL = 0.1
+_DENSE_MAX_BYTES = 256 << 20
 
 
 @dataclass(frozen=True)
@@ -34,7 +52,8 @@ class RankLU:
     ``perm[k]`` of X.  ``V`` has one column
     ``alpha * e_i`` per breakdown step i (0-based column indices of M);
     ``W`` has one column ``alpha * e_r`` per row r of M that never became a
-    pivot.  ``detected_rank = ncols - len(breakdown_steps)``.
+    pivot.  ``detected_rank = ncols - len(breakdown_steps)``.  ``path`` is
+    ``"sparse"`` or ``"dense"``: the kernel that produced the factor.
     """
 
     perm: np.ndarray
@@ -49,8 +68,11 @@ class RankLU:
     detected_rank: int
     nrows: int
     ncols: int
+    path: str
 
     def __post_init__(self):
+        if self.path not in ("sparse", "dense"):
+            raise FactorizationError(f"unknown factor path {self.path!r}")
         # the solves divide by the last stored entry of each U column, so
         # it must be the diagonal (stored entries are never exact zeros)
         end = self.U.col_ptr[1:]
@@ -94,24 +116,58 @@ def factor(M, tau):
         raise FactorizationError("cannot factor a matrix with an empty dimension")
     if not (0.0 <= tau < 1.0):
         raise FactorizationError(f"tau must lie in [0, 1); got {tau} (tau >= 1 would border every column)")
+    if not np.all(np.isfinite(M.values)):
+        raise NonFiniteInput("cannot factor a matrix with a non-finite entry")
     # border scale: spectral-norm estimate, so appended rows match the
     # magnitude of the matrix entries rather than the (larger) column sums
     alpha = two_norm_estimate(M)
     if alpha == 0.0:
         raise FactorizationError("cannot factor an all-zero matrix")
-    threshold = tau * alpha
 
+    out = _factor_sparse(M, alpha, tau)
+    path = "sparse"
+    if out is None:
+        out = _factor_dense(M, alpha, tau)
+        path = "dense"
+    perm, L, U, breakdown_steps, breakdown_pivots = out
+
+    ell = len(breakdown_steps)
+    wcols = len(perm) - m
+    steps = np.array(breakdown_steps, dtype=np.int64)
+    V = SparseMatrix.from_coo(m, ell, steps, np.arange(ell, dtype=np.int64),
+                              np.full(ell, alpha, dtype=np.complex128))
+    W = SparseMatrix.from_coo(n, wcols, perm[m:], np.arange(wcols, dtype=np.int64),
+                              np.full(wcols, alpha, dtype=np.complex128))
+
+    return RankLU(
+        perm=perm,
+        L=L, U=U, V=V, W=W,
+        alpha=float(alpha), tau=float(tau),
+        breakdown_steps=steps,
+        breakdown_pivots=np.array(breakdown_pivots, dtype=np.float64),
+        detected_rank=m - ell,
+        nrows=n, ncols=m,
+        path=path,
+    )
+
+
+def _factor_sparse(M, alpha, tau):
+    """Left-looking sparse kernel; returns ``(perm, L, U, breakdown steps,
+    breakdown pivots)``, or None once the fill calls for the dense kernel."""
+    n, m = M.nrows, M.ncols
+    threshold = tau * alpha
+    dense_fits = (n + m + _PANEL) * m * 16 <= _DENSE_MAX_BYTES
     cap = n + m  # upper bound on final size (at most one appended row per column)
     work = np.zeros(cap, dtype=np.complex128)
     touched = np.zeros(cap, dtype=bool)
     pinv = np.full(cap, -1, dtype=np.int64)       # source row -> pivot step
-    perm = np.full(cap, -1, dtype=np.int64)       # pivot step -> source row
     pos_of_src = np.arange(cap, dtype=np.int64)
     src_of_pos = np.arange(cap, dtype=np.int64)
     l_rows, l_vals = [], []                       # per step, source-row indexed
     u_rows, u_vals = [], []                       # per column, position indexed
     breakdown_steps, breakdown_pivots = [], []
     n_cur = n
+    nnz_lu = 0
 
     for t in range(m):
         heap = []
@@ -131,7 +187,7 @@ def factor(M, tau):
         urows_t, uvals_t = [], []
         while heap:
             k = heapq.heappop(heap)
-            u = work[perm[k]]
+            u = work[src_of_pos[k]]
             if u == 0.0:
                 continue
             urows_t.append(k)
@@ -174,7 +230,6 @@ def factor(M, tau):
         q = src_of_pos[t]
         src_of_pos[t], src_of_pos[p] = pivot_src, q
         pos_of_src[pivot_src], pos_of_src[q] = t, p
-        perm[t] = pivot_src
         pinv[pivot_src] = t
 
         piv = work[pivot_src]
@@ -195,12 +250,12 @@ def factor(M, tau):
         work[ta] = 0.0
         touched[ta] = False
 
-    ell = len(breakdown_steps)
+        nnz_lu += len(urows_t) + len(lr)
+        if dense_fits and t >= _DENSE_MIN_COL and nnz_lu > _DENSE_FILL * (t + 1) * n_cur:
+            return None
+
     n_final = n_cur
     wcols = n_final - m
-    detected_rank = m - ell
-    leftovers = src_of_pos[m:n_final].copy()
-    perm[m:n_final] = leftovers
 
     # assemble L (unit lower triangular; trailing border columns are identity)
     lr_all, lc_all, lv_all = [], [], []
@@ -228,22 +283,76 @@ def factor(M, tau):
     U = SparseMatrix.from_coo(n_final, n_final,
                               np.concatenate(ur_all), np.concatenate(uc_all),
                               np.concatenate(uv_all))
+    return src_of_pos[:n_final].copy(), L, U, breakdown_steps, breakdown_pivots
 
-    steps = np.array(breakdown_steps, dtype=np.int64)
-    V = SparseMatrix.from_coo(m, ell, steps, np.arange(ell, dtype=np.int64),
-                              np.full(ell, alpha, dtype=np.complex128))
-    W = SparseMatrix.from_coo(n, wcols, leftovers, np.arange(wcols, dtype=np.int64),
-                              np.full(wcols, alpha, dtype=np.complex128))
 
-    return RankLU(
-        perm=perm[:n_final].copy(),
-        L=L, U=U, V=V, W=W,
-        alpha=float(alpha), tau=float(tau),
-        breakdown_steps=steps,
-        breakdown_pivots=np.array(breakdown_pivots, dtype=np.float64),
-        detected_rank=int(detected_rank),
-        nrows=n, ncols=m,
-    )
+def _factor_dense(M, alpha, tau):
+    """Blocked right-looking kernel on a dense working array, with the
+    sparse kernel's pivot, tie-break and breakdown rules; same return value
+    as :func:`_factor_sparse`."""
+    n, m = M.nrows, M.ncols
+    threshold = tau * alpha
+    # rows are current positions; the bordered size reaches max(n, m)
+    A = np.zeros((max(n, m) + _PANEL, m), dtype=np.complex128)
+    A[M.row_idx, np.repeat(np.arange(m), np.diff(M.col_ptr))] = M.values
+    src_of_pos = np.arange(n + m, dtype=np.int64)
+    breakdown_steps, breakdown_pivots = [], []
+    n_cur = n
+
+    for k0 in range(0, m, _PANEL):
+        k1 = min(k0 + _PANEL, m)
+        for t in range(k0, k1):
+            mags = np.abs(A[t:n_cur, t])
+            best = mags.max(initial=0.0)
+            if best < threshold or best == 0.0:
+                # breakdown: the row alpha * e_t takes position t and the
+                # displaced row moves to a new last position; the U row is
+                # alpha * e_t, so there is no update to make
+                breakdown_steps.append(t)
+                breakdown_pivots.append(best)
+                if n_cur == len(A):
+                    A = np.concatenate((A, np.zeros((_PANEL, m), dtype=np.complex128)))
+                A[n_cur] = A[t]
+                A[t] = 0.0
+                A[t, t] = alpha
+                src_of_pos[n_cur] = src_of_pos[t]
+                src_of_pos[t] = n_cur
+                n_cur += 1
+                A[t + 1:n_cur, t] /= alpha
+            else:
+                p = t + int(np.argmax(mags))  # the first maximum: earliest position
+                if p != t:
+                    A[[t, p]] = A[[p, t]]
+                    src_of_pos[[t, p]] = src_of_pos[[p, t]]
+                A[t + 1:n_cur, t] /= A[t, t]
+                A[t + 1:n_cur, t + 1:k1] -= np.outer(A[t + 1:n_cur, t], A[t, t + 1:k1])
+        if k1 < m:
+            # U12 rows: forward substitution with the panel's unit-lower L11
+            for i in range(k0, k1 - 1):
+                A[i + 1:k1, k1:] -= np.outer(A[i + 1:k1, i], A[i, k1:])
+            A[k1:n_cur, k1:] -= A[k1:n_cur, k0:k1] @ A[k0:k1, k1:]
+
+    A = A[:n_cur]
+    pos = np.arange(n_cur)[:, None]
+    col = np.arange(m)
+    nonzero = A != 0.0
+    U = _csc_from_mask(A, nonzero & (pos <= col), alpha)
+    A[col, col] = 1.0  # L is unit lower triangular
+    L = _csc_from_mask(A, nonzero & (pos >= col), 1.0)
+    return src_of_pos[:n_cur].copy(), L, U, breakdown_steps, breakdown_pivots
+
+
+def _csc_from_mask(A, mask, border):
+    """Square CSC matrix holding the entries of the ``n_final x m`` array
+    ``A`` where ``mask`` is set, and ``border * I`` in the last
+    ``n_final - m`` columns."""
+    nf, m = A.shape
+    cols, rows = np.nonzero(mask.T)  # column-major order, as CSC stores it
+    counts = np.concatenate((np.count_nonzero(mask, axis=0), np.ones(nf - m, dtype=np.int64)))
+    col_ptr = np.zeros(nf + 1, dtype=np.int64)
+    np.cumsum(counts, out=col_ptr[1:])
+    return SparseMatrix(nf, nf, col_ptr, np.concatenate((rows, np.arange(m, nf))),
+                        np.concatenate((A[rows, cols], np.full(nf - m, border, dtype=np.complex128))))
 
 
 def solve(F, b):

@@ -3,7 +3,7 @@ import pytest
 
 from singpencil.dense import (dense_rank, hessenberg_eig, qr,
                               small_generalized_eig)
-from singpencil.errors import ConvergenceError, DimensionMismatch
+from singpencil.errors import ConvergenceError, DimensionMismatch, NonFiniteInput
 from singpencil import problems
 
 
@@ -239,3 +239,12 @@ def test_dense_rank_tol_zero_and_empty():
     assert dense_rank(np.zeros((0, 0)), 1e-10) == 0
     with pytest.raises(ValueError):
         dense_rank(np.eye(2), -1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("at", [(0, 0), (1, 2)])
+def test_dense_rank_rejects_non_finite_entry(bad, at):
+    M = np.eye(3, dtype=complex)
+    M[at] = bad
+    with pytest.raises(NonFiniteInput):
+        dense_rank(M, 1e-12)

@@ -5,7 +5,7 @@ import pytest
 
 from singpencil import problems, rank_lu
 from singpencil.dense import dense_rank
-from singpencil.errors import DimensionMismatch, FactorizationError
+from singpencil.errors import DimensionMismatch, FactorizationError, NonFiniteInput
 from singpencil.sparse import SparseMatrix, add_scaled
 
 from conftest import dense_bordered, permutation_matrix, random_rank_matrix
@@ -140,6 +140,101 @@ def test_zero_u_diagonal_rejected():
     U = SparseMatrix.from_dense(np.diag([1.0, 0.0, 1.0]))
     with pytest.raises(FactorizationError, match="column 1"):
         replace(F, U=U)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_factor_rejects_non_finite_entry(bad):
+    with pytest.raises(NonFiniteInput):
+        rank_lu.factor(SparseMatrix.from_dense([[bad, 0.0], [0.0, 1.0]]), 1e-12)
+
+
+# -- sparse and dense kernels ----------------------------------------------------
+
+def _factor_with(monkeypatch, kernel, M, tau):
+    """Factor with the fill switch off (``"sparse"``) or taken at column 0
+    (``"dense"``)."""
+    with monkeypatch.context() as mp:
+        if kernel == "sparse":
+            mp.setattr(rank_lu, "_DENSE_MAX_BYTES", 0)
+        else:
+            mp.setattr(rank_lu, "_DENSE_MIN_COL", 0)
+            mp.setattr(rank_lu, "_DENSE_FILL", 0.0)
+        F = rank_lu.factor(M, tau)
+    assert F.path == kernel
+    return F
+
+
+def _kernel_cases():
+    toy = problems.gen_kronecker_toy().pencil
+    for sigma in (0.0, 0.5, 2.0):
+        yield pytest.param(add_scaled(toy.A, -sigma, toy.B), 1e-12, id=f"toy-sigma{sigma}")
+    for perturbed in (False, True):
+        A = problems.gen_tolerance_pencil(perturbed=perturbed).pencil.A
+        for tau in (1e-16, 2.2e-15, 1e-12, 1e-10, 1e-5, 0.2):
+            yield pytest.param(A, tau, id=f"order10-{'perturbed' if perturbed else 'clean'}-tau{tau}")
+    for n in (40, 250):
+        q = problems.gen_quadratic_companion(n=n).pencil
+        yield pytest.param(add_scaled(q.A, -1.1, q.B), 1e-12, id=f"quadratic{n}")
+    rng = np.random.default_rng(7)
+    for nrows, ncols, rank in ((70, 70, 50), (90, 60, 40), (40, 200, 30)):
+        yield pytest.param(random_rank_matrix(rng, nrows, ncols, rank), 1e-10,
+                           id=f"random{nrows}x{ncols}-rank{rank}")
+
+
+@pytest.mark.parametrize("M, tau", list(_kernel_cases()))
+def test_dense_kernel_matches_sparse_kernel(monkeypatch, M, tau):
+    """The dense blocked kernel takes the sparse kernel's pivots and
+    breakdowns, so both give the same permutation, borders and rank."""
+    S = _factor_with(monkeypatch, "sparse", M, tau)
+    D = _factor_with(monkeypatch, "dense", M, tau)
+    np.testing.assert_array_equal(D.breakdown_steps, S.breakdown_steps)
+    np.testing.assert_array_equal(D.perm, S.perm)
+    for a, b in ((D.V, S.V), (D.W, S.W)):
+        assert a.shape == b.shape
+        np.testing.assert_array_equal(a.row_idx, b.row_idx)
+        np.testing.assert_array_equal(a.values, b.values)
+    assert D.detected_rank == S.detected_rank
+    for F in (S, D):
+        check_factorization(F, M)
+
+
+def test_dense_kernel_grows_its_working_array(monkeypatch):
+    """70 breakdowns in a 100 x 100 matrix outgrow the dense working
+    array's first max(n, m) + 64 rows; the kernels still agree."""
+    M = random_rank_matrix(np.random.default_rng(7), 100, 100, 30)
+    D = _factor_with(monkeypatch, "dense", M, 1e-10)
+    assert D.n_final > max(M.shape) + rank_lu._PANEL
+    S = _factor_with(monkeypatch, "sparse", M, 1e-10)
+    np.testing.assert_array_equal(D.perm, S.perm)
+    check_factorization(D, M)
+
+
+def test_fill_switch_picks_the_path(monkeypatch):
+    """A factor that fills in restarts in the dense kernel; sparse and
+    small factors stay sparse, and so does one over the memory cap."""
+    q = problems.gen_quadratic_companion(n=40).pencil
+    M = add_scaled(q.A, -1.1, q.B)
+    assert rank_lu.factor(M, 1e-12).path == "dense"
+    rect = problems.gen_rectangular(n=200).pencil
+    toy = problems.gen_kronecker_toy().pencil
+    sparse_cases = [add_scaled(rect.A, -0.9, rect.B), toy.A,
+                    problems.gen_tolerance_pencil().pencil.A,
+                    problems.gen_tolerance_pencil(perturbed=True).pencil.A,
+                    SparseMatrix.identity(200)]
+    for S in sparse_cases:
+        assert rank_lu.factor(S, 1e-12).path == "sparse"
+    n, m = M.shape
+    need = (n + m + rank_lu._PANEL) * m * 16  # the largest the working array can grow
+    monkeypatch.setattr(rank_lu, "_DENSE_MAX_BYTES", need - 1)
+    assert rank_lu.factor(M, 1e-12).path == "sparse"
+    monkeypatch.setattr(rank_lu, "_DENSE_MAX_BYTES", need)
+    assert rank_lu.factor(M, 1e-12).path == "dense"
+
+
+def test_path_is_validated():
+    F = rank_lu.factor(SparseMatrix.identity(3), 1e-12)
+    with pytest.raises(FactorizationError, match="path"):
+        replace(F, path="blocked")
 
 
 # -- solve / solve_adjoint ------------------------------------------------------
