@@ -18,5 +18,4 @@ from .two_sided import (SolverConfig, EigenTriplet, SolveResult, solve_singular,
                         LABEL_TRUE, LABEL_SPURIOUS, LABEL_INFINITE)
 from . import problems
 from .errors import (SingPencilError, DimensionMismatch, NonFiniteInput,
-                     FactorizationError, ConvergenceError, StartVectorError,
-                     PurificationError)
+                     FactorizationError, ConvergenceError, StartVectorError)

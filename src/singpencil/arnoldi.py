@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dense
-from .errors import DimensionMismatch, PurificationError, StartVectorError
+from .errors import DimensionMismatch, StartVectorError
 
 #: Seminorm below this multiple of the Euclidean norm counts as breakdown
 BREAKDOWN_RTOL = 1e-13
@@ -186,17 +186,19 @@ def ritz_pairs(d):
     return pairs
 
 
-def purify(S, x):
-    """One application of the shift-and-invert operator S, normalized.
+def purify(S, X):
+    """One application of the shift-and-invert operator S to a vector or to
+    each column of a block, normalized in place.
 
     Strips eigenvector components lying in the operator nullspace (the
     border-induced infinite eigenvalues).  Right vectors are purified with
     the forward operator, left vectors with the transposed-pencil one.
-    Raises :class:`PurificationError` for vectors entirely inside the
-    nullspace.
+    Returns ``(Y, null)``: ``null`` marks the columns that lie entirely in
+    the nullspace (pure infinite eigenvectors), which come back unchanged.
     """
-    y = S.apply(x)
-    norm = np.linalg.norm(y)
-    if norm < 1e-280:
-        raise PurificationError("vector lies in the nullspace: pure infinite eigenvector")
-    return y / norm
+    Y = S.apply(X)
+    norms = np.linalg.norm(Y, axis=0)
+    null = norms < 1e-280
+    Y /= np.where(null, 1.0, norms)
+    np.copyto(Y, X, where=null)
+    return Y, null

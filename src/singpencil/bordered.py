@@ -162,9 +162,7 @@ class ShiftInvertOperator:
         return base.ncols if self.direction == "forward" else base.nrows
 
     def apply(self, v):
-        v = np.asarray(v, dtype=np.complex128).ravel()
-        if v.size != self.size:
-            raise DimensionMismatch(f"operator size {self.size}, vector size {v.size}")
+        """The operator on a vector or on each column of an ``(size, k)`` block."""
         bp = self.bordered
         if self.direction == "forward":
             return rank_lu.solve(bp.lu, spmv(bp.b_matrix, v))

@@ -47,10 +47,10 @@ GENERATORS = {
     "tolerance": lambda a: problems.gen_tolerance_pencil(
         perturbed=a.perturbed, **({} if a.gen_seed is None else {"seed": a.gen_seed})),
     "quadratic": lambda a: problems.gen_quadratic_companion(
-        n=a.n or 500, beta0=a.beta0, beta1=a.beta1, beta2=a.beta2,
+        n=500 if a.n is None else a.n, beta0=a.beta0, beta1=a.beta1, beta2=a.beta2,
         **({} if a.gen_seed is None else {"seed": a.gen_seed})),
     "rectangular": lambda a: problems.gen_rectangular(
-        n=a.n or 10000, betaA=a.beta_a, betaB=a.beta_b),
+        n=10000 if a.n is None else a.n, betaA=a.beta_a, betaB=a.beta_b),
 }
 
 
@@ -69,11 +69,19 @@ def _add_problem_args(p):
     p.add_argument("--beta-b", type=float, default=1.0)
 
 
+def _generate(args, parser):
+    """The generated problem; an argument the generator rejects is a usage error."""
+    try:
+        return GENERATORS[args.generate](args)
+    except ValueError as exc:
+        parser.error(f"--generate {args.generate}: {exc}")
+
+
 def _load_problem(args, parser):
     if args.generate and (args.a_path or args.b_path):
         parser.error("--generate conflicts with --a/--b")
     if args.generate:
-        gen = GENERATORS[args.generate](args)
+        gen = _generate(args, parser)
         return gen.pencil, {"generator": args.generate, "n": args.n,
                             "gen_seed": args.gen_seed, "perturbed": args.perturbed}
     if not (args.a_path and args.b_path):
@@ -178,7 +186,7 @@ def cmd_rank(args, parser):
 def cmd_export(args, parser):
     if not args.generate:
         parser.error("export needs --generate")
-    gen = GENERATORS[args.generate](args)
+    gen = _generate(args, parser)
     prefix = args.out_prefix
     a_path, b_path = f"{prefix}_A.mtx", f"{prefix}_B.mtx"
     write_matrix_market(a_path, gen.pencil.A)

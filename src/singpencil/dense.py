@@ -101,9 +101,12 @@ def _eig(M, what):
 
 
 def _unit_columns(V):
+    """Scale the columns of V to unit two-norm in place (a zero column stays
+    zero); returns V."""
     norms = np.linalg.norm(V, axis=0)
     norms[norms == 0.0] = 1.0
-    return V / norms
+    V /= norms
+    return V
 
 
 def hessenberg_eig(H):

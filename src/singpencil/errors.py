@@ -24,6 +24,3 @@ class ConvergenceError(SingPencilError):
 class StartVectorError(SingPencilError):
     """Arnoldi start vector lies in the kernel of the seminorm."""
 
-
-class PurificationError(SingPencilError):
-    """The vector to purify lies entirely in the operator nullspace."""

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, FactorizationError, NonFiniteInput
-from .sparse import SparseMatrix, two_norm_estimate
+from .errors import FactorizationError, NonFiniteInput
+from .sparse import SparseMatrix, operand, two_norm_estimate
 
 #: Columns per panel of the dense kernel; its working array also grows by
 #: this many rows at a time.
@@ -356,46 +356,46 @@ def _csc_from_mask(A, mask, border):
 
 
 def solve(F, b):
-    """Solve ``[[M, W], [V*, 0]] x = b`` through the stored P, L, U."""
-    b = np.asarray(b, dtype=np.complex128).ravel()
-    nf = F.n_final
-    if b.size != nf:
-        raise DimensionMismatch(f"solve: rhs length {b.size} != {nf}")
+    """Solve ``[[M, W], [V*, 0]] x = b`` through the stored P, L, U, for a
+    vector b or an ``(n_final, k)`` block of right-hand sides."""
+    b = operand(b, F.n_final, "solve")
+    # a block broadcasts each column update of the factor across its columns
+    shape, nonzero = ((-1,), bool) if b.ndim == 1 else ((-1, 1), np.count_nonzero)
     y = b[F.perm]  # apply P
-    L, U = F.L, F.U
-    for j in range(nf):
+    ptr, rows, vals = F.L.col_ptr.tolist(), F.L.row_idx, F.L.values.reshape(shape)
+    for j in range(F.n_final):
         yj = y[j]
-        if yj != 0.0:
-            rows, vals = L.column(j)
-            if rows.size > 1:
-                y[rows[1:]] -= vals[1:] * yj
-    for j in range(nf - 1, -1, -1):
-        rows, vals = U.column(j)
-        xj = y[j] / vals[-1]
+        if nonzero(yj):
+            s, e = ptr[j] + 1, ptr[j + 1]  # below the unit diagonal
+            if e > s:
+                y[rows[s:e]] -= vals[s:e] * yj
+    ptr, rows, vals = F.U.col_ptr.tolist(), F.U.row_idx, F.U.values.reshape(shape)
+    for j in range(F.n_final - 1, -1, -1):
+        s, e = ptr[j], ptr[j + 1] - 1  # the diagonal is the last entry
+        xj = y[j] / vals[e]
         y[j] = xj
-        if xj != 0.0 and rows.size > 1:
-            y[rows[:-1]] -= vals[:-1] * xj
+        if e > s and nonzero(xj):
+            y[rows[s:e]] -= vals[s:e] * xj
     return y
 
 
 def solve_adjoint(F, b):
-    """Solve the conjugate-transposed bordered system ``[[M, W], [V*, 0]]* y = b``."""
-    b = np.asarray(b, dtype=np.complex128).ravel()
-    nf = F.n_final
-    if b.size != nf:
-        raise DimensionMismatch(f"solve_adjoint: rhs length {b.size} != {nf}")
-    L, U = F.L, F.U
-    z = np.empty(nf, dtype=np.complex128)
-    for j in range(nf):  # U* is lower triangular: forward substitution
-        rows, vals = U.column(j)
-        s = b[j]
-        if rows.size > 1:
-            s -= np.vdot(vals[:-1], z[rows[:-1]])
-        z[j] = s / np.conj(vals[-1])
-    for j in range(nf - 1, -1, -1):  # L* is upper triangular: back substitution
-        rows, vals = L.column(j)
-        if rows.size > 1:
-            z[j] -= np.vdot(vals[1:], z[rows[1:]])
+    """Solve the conjugate-transposed bordered system ``[[M, W], [V*, 0]]* y = b``
+    for a vector b or an ``(n_final, k)`` block of right-hand sides."""
+    b = operand(b, F.n_final, "solve_adjoint")
+    z = np.empty_like(b)
+    ptr, rows, vals = F.U.col_ptr.tolist(), F.U.row_idx, F.U.values
+    for j in range(F.n_final):  # U* is lower triangular: forward substitution
+        s, e = ptr[j], ptr[j + 1] - 1
+        zj = b[j]
+        if e > s:
+            zj = zj - np.conj(vals[s:e]) @ z[rows[s:e]]
+        z[j] = zj / np.conj(vals[e])
+    ptr, rows, vals = F.L.col_ptr.tolist(), F.L.row_idx, F.L.values
+    for j in range(F.n_final - 1, -1, -1):  # L* is upper triangular: back substitution
+        s, e = ptr[j] + 1, ptr[j + 1]
+        if e > s:
+            z[j] -= np.conj(vals[s:e]) @ z[rows[s:e]]
     x = np.empty_like(z)
     x[F.perm] = z  # apply P*
     return x

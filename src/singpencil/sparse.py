@@ -140,32 +140,41 @@ class SparseMatrix:
 # -- operations -------------------------------------------------------------
 
 
+def operand(x, n, what):
+    """``x`` as a complex vector ``(n,)`` or block ``(n, k)``; the shape every
+    product and solve accepts and returns."""
+    x = np.asarray(x, dtype=np.complex128)
+    if x.ndim not in (1, 2) or x.shape[0] != n:
+        raise DimensionMismatch(f"{what}: operand shape {x.shape} does not start with {n}")
+    return x
+
+
 def spmv(M, x):
-    """Sparse matrix-vector product M @ x.
+    """Sparse product M @ x for a vector or an ``(ncols, k)`` block.
 
     Contributions are accumulated in storage order (by column, then row),
-    so the result is deterministic.
+    so the result is deterministic.  A block is multiplied one column at a
+    time, so no ``nnz x k`` temporary is built.
     """
-    x = np.asarray(x, dtype=np.complex128).ravel()
-    if x.size != M.ncols:
-        raise DimensionMismatch(f"spmv: vector length {x.size} != ncols {M.ncols}")
-    y = np.zeros(M.nrows, dtype=np.complex128)
+    x = operand(x, M.ncols, "spmv")
+    y = np.zeros((M.nrows,) + x.shape[1:], dtype=np.complex128)
     if M.nnz:
-        contrib = M.values * np.repeat(x, np.diff(M.col_ptr))
-        np.add.at(y, M.row_idx, contrib)
+        counts = np.diff(M.col_ptr)
+        for xj, yj in zip(x.reshape(M.ncols, -1).T, y.reshape(M.nrows, -1).T):
+            np.add.at(yj, M.row_idx, M.values * np.repeat(xj, counts))
     return y
 
 
 def spmv_adjoint(M, y):
-    """Conjugate-transpose product M* @ y without materializing M*."""
-    y = np.asarray(y, dtype=np.complex128).ravel()
-    if y.size != M.nrows:
-        raise DimensionMismatch(f"spmv_adjoint: vector length {y.size} != nrows {M.nrows}")
-    out = np.zeros(M.ncols, dtype=np.complex128)
+    """Conjugate-transpose product M* @ y for a vector or an ``(nrows, k)``
+    block, without materializing M*."""
+    y = operand(y, M.nrows, "spmv_adjoint")
+    out = np.zeros((M.ncols,) + y.shape[1:], dtype=np.complex128)
     if M.nnz:
-        prods = np.conj(M.values) * y[M.row_idx]
+        conj = np.conj(M.values)
         cols = np.repeat(np.arange(M.ncols, dtype=np.int64), np.diff(M.col_ptr))
-        np.add.at(out, cols, prods)
+        for yj, oj in zip(y.reshape(M.nrows, -1).T, out.reshape(M.ncols, -1).T):
+            np.add.at(oj, cols, conj * yj[M.row_idx])
     return out
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import arnoldi as _arnoldi
 from . import dense
 from .bordered import ShiftInvertOperator, regularize
-from .errors import ConvergenceError, PurificationError, SingPencilError
+from .errors import ConvergenceError, SingPencilError
 from .sparse import norm_estimate, spmv, spmv_adjoint
 
 LABEL_TRUE = "True"
@@ -35,7 +35,7 @@ class SolverConfig:
     and filter infinite-eigenvalue components.  ``classify_threshold`` is
     the border-norm cut between true and spurious on unit vectors.  An
     out-of-range value (a non-finite ``sigma``, a ``tau`` outside
-    ``[0, 1)``, ...) raises ``ValueError``.
+    ``[0, 1)``, a negative ``seed``, ...) raises ``ValueError``.
     """
 
     sigma: complex = 0.0
@@ -56,6 +56,8 @@ class SolverConfig:
             raise ValueError("implicit_restarts must be >= 0")
         if not (0.0 < self.classify_threshold < 1.0):
             raise ValueError("classify_threshold must lie in (0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0; got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -126,10 +128,6 @@ def _run_side(S, cfg, seed):
     return d
 
 
-def _border_norm(vec, leading):
-    return float(np.linalg.norm(vec[leading:]))
-
-
 def _residual(A_hat, B_hat, lam, infinite, vec, a_norm, b_norm, left=False):
     mv = spmv_adjoint if left else spmv
     if infinite:
@@ -176,30 +174,30 @@ def solve_singular(p, cfg):
     return solve_singular_full(p, cfg).triplets
 
 
-def _normalize(v):
-    n = np.linalg.norm(v)
-    return v / n if n > 0 else v
+def _purify_finite(S, X, infinite):
+    """Purify, in one call, the columns of X whose eigenvalue is still
+    finite; a column that lies in the nullspace of S comes back unchanged
+    and marks its eigenvalue infinite.  Updates X and ``infinite`` in place."""
+    cols = np.flatnonzero(~infinite)
+    if cols.size:
+        X[:, cols], null = _arnoldi.purify(S, X[:, cols])
+        infinite[cols[null]] = True
 
 
 def _one_sided_triplets(S, d, cfg):
     pairs = _arnoldi.ritz_pairs(d)
-    basis = d.basis[:, :d.steps]
+    theta = np.array([rp.theta for rp in pairs])
     theta_scale = np.linalg.norm(d.square_hess, 2)
+    infinite = np.abs(theta) < dense.INF_THETA_RTOL * max(theta_scale, 1e-300)
+    X = dense._unit_columns(d.basis[:, :d.steps] @ np.column_stack([rp.z for rp in pairs]))
+    _purify_finite(S, X, infinite)
+    xb = np.linalg.norm(X[S.leading:], axis=0)
     out = []
-    for rp in pairs:
-        infinite = abs(rp.theta) < dense.INF_THETA_RTOL * max(theta_scale, 1e-300)
-        lam = np.inf if infinite else cfg.sigma + 1.0 / rp.theta
-        x = _normalize(basis @ rp.z)
-        if not infinite:
-            try:
-                x = _arnoldi.purify(S, x)
-            except PurificationError:
-                infinite, lam = True, np.inf
+    for i, rp in enumerate(pairs):
         t = EigenTriplet(
-            lam=complex(lam) if not infinite else complex(np.inf),
-            infinite=infinite, x=x, y=None,
-            x_border_norm=_border_norm(x, S.leading),
-            y_border_norm=None,
+            lam=complex(np.inf) if infinite[i] else complex(cfg.sigma + 1.0 / rp.theta),
+            infinite=bool(infinite[i]), x=X[:, i], y=None,
+            x_border_norm=float(xb[i]), y_border_norm=None,
             residual_right=rp.residual_estimate,
             residual_left=None,
         )
@@ -212,12 +210,8 @@ def _two_sided_triplets(S, Sa, fwd, adj, cfg):
     k = min(fwd.steps, adj.steps)
     Vk = fwd.basis[:, :k]
     Wk = adj.basis[:, :k]
-    A_hat_big = bp.shifted_matrix
-    B_hat_big = bp.b_matrix
-    AV = np.column_stack([spmv(A_hat_big, Vk[:, j]) for j in range(k)])
-    BV = np.column_stack([spmv(B_hat_big, Vk[:, j]) for j in range(k)])
-    Ahat_full = Wk.conj().T @ AV
-    Bhat_full = Wk.conj().T @ BV
+    Ahat_full = Wk.conj().T @ spmv(bp.shifted_matrix, Vk)
+    Bhat_full = Wk.conj().T @ spmv(bp.b_matrix, Vk)
     # exactly solved subspaces can leave degenerate trailing directions;
     # shrink until the projected matrix is comfortably invertible
     while True:
@@ -229,42 +223,32 @@ def _two_sided_triplets(S, Sa, fwd, adj, cfg):
             k -= 1
             if k < 1:
                 raise SingPencilError("projected pencil is degenerate at every dimension")
-    Vk = Vk[:, :k]
-    Wk = Wk[:, :k]
 
+    infinite = np.array(eig.infinite, dtype=bool)
+    X = dense._unit_columns(Vk[:, :k] @ eig.right_vectors)
+    Y = dense._unit_columns(Wk[:, :k] @ eig.left_vectors)
+    _purify_finite(S, X, infinite)
+    _purify_finite(Sa, Y, infinite)  # y only where x stayed finite
+    xb = np.linalg.norm(X[S.leading:], axis=0)
+    yb = np.linalg.norm(Y[Sa.leading:], axis=0)
     a_norm = norm_estimate(bp.a_matrix)
-    b_norm = norm_estimate(bp.b_matrix) if bp.b_matrix.nnz else 0.0
+    b_norm = norm_estimate(bp.b_matrix)
+    thr = cfg.classify_threshold
     out = []
     for i in range(k):
-        infinite = bool(eig.infinite[i])
-        lam = eig.eigenvalues[i]
-        x = _normalize(Vk @ eig.right_vectors[:, i])
-        y = _normalize(Wk @ eig.left_vectors[:, i])
-        if not infinite:
-            try:
-                x = _arnoldi.purify(S, x)
-            except PurificationError:
-                infinite, lam = True, np.inf
-        if not infinite:
-            try:
-                y = _arnoldi.purify(Sa, y)
-            except PurificationError:
-                infinite, lam = True, np.inf
-        xb = _border_norm(x, S.leading)
-        yb = _border_norm(y, Sa.leading)
-        res_r = _residual(bp.a_matrix, bp.b_matrix, lam, infinite, x, a_norm, b_norm)
-        res_l = _residual(bp.a_matrix, bp.b_matrix, lam, infinite, y, a_norm, b_norm,
-                          left=True)
+        lam = np.inf if infinite[i] else eig.eigenvalues[i]
+        x, y = X[:, i], Y[:, i]
         t = EigenTriplet(
-            lam=complex(lam) if not infinite else complex(np.inf),
-            infinite=infinite, x=x, y=y,
-            x_border_norm=xb, y_border_norm=yb,
-            residual_right=res_r, residual_left=res_l,
+            lam=complex(lam), infinite=bool(infinite[i]), x=x, y=y,
+            x_border_norm=float(xb[i]), y_border_norm=float(yb[i]),
+            residual_right=_residual(bp.a_matrix, bp.b_matrix, lam, infinite[i], x,
+                                     a_norm, b_norm),
+            residual_left=_residual(bp.a_matrix, bp.b_matrix, lam, infinite[i], y,
+                                    a_norm, b_norm, left=True),
         )
-        label = classify(t, cfg.classify_threshold)
-        thr = cfg.classify_threshold
+        label = classify(t, thr)
         flags = ()
-        if label == LABEL_SPURIOUS and (xb < thr) != (yb < thr):
+        if label == LABEL_SPURIOUS and (xb[i] < thr) != (yb[i] < thr):
             flags = ("asymmetric-border",)
         out.append(replace(t, label=label, flags=flags))
     return out
@@ -309,7 +293,7 @@ def result_table_text(result):
 
 
 def triplet_to_dict(t):
-    d = {
+    return {
         "eigenvalue": "inf" if t.infinite else [t.lam.real, t.lam.imag],
         "infinite": bool(t.infinite),
         "x_border_norm": t.x_border_norm,
@@ -319,7 +303,6 @@ def triplet_to_dict(t):
         "label": t.label,
         "flags": list(t.flags),
     }
-    return d
 
 
 def result_to_dict(result):

@@ -5,7 +5,7 @@ from singpencil import problems
 from singpencil.arnoldi import (arnoldi_run, implicit_restart_infinity, purify,
                                 ritz_pairs, start_vector)
 from singpencil.bordered import Pencil, ShiftInvertOperator, regularize
-from singpencil.errors import PurificationError, StartVectorError
+from singpencil.errors import StartVectorError
 from singpencil.sparse import SparseMatrix
 
 
@@ -260,7 +260,8 @@ def test_purify_fixes_eigenvector():
     bp, S = toy_setup()
     e1 = np.zeros(5, dtype=complex)
     e1[0] = 1.0
-    out = purify(S, e1)
+    out, null = purify(S, e1)
+    assert out.shape == e1.shape and not null
     assert 1.0 - abs(np.vdot(out, e1)) <= 1e-12
 
 
@@ -271,14 +272,26 @@ def test_purify_removes_constructed_contamination():
     null = np.zeros(5, dtype=complex)
     null[2] = 0.4   # zero column of B
     null[4] = -0.3  # border coordinate
-    out = purify(S, e1 + null)
+    out, _ = purify(S, e1 + null)
     assert 1.0 - abs(np.vdot(out, e1)) <= 1e-10
     assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
 
 
-def test_purify_pure_nullspace_errors():
+def test_purify_pure_nullspace_mask():
+    """A column entirely in the nullspace comes back unchanged and masked;
+    in a block it leaves the other columns' purification alone."""
     bp, S = toy_setup()
     null = np.zeros(5, dtype=complex)
     null[4] = 1.0
-    with pytest.raises(PurificationError):
-        purify(S, null)
+    out, mask = purify(S, null)
+    assert mask
+    np.testing.assert_array_equal(out, null)
+    e1 = np.zeros(5, dtype=complex)
+    e1[0] = 1.0
+    X = np.column_stack([e1, null])
+    Y, mask = purify(S, X)
+    np.testing.assert_array_equal(mask, [False, True])
+    np.testing.assert_array_equal(Y[:, 1], null)
+    np.testing.assert_allclose(Y[:, 0], purify(S, e1)[0], rtol=0, atol=1e-15)
+    assert 1.0 - abs(np.vdot(Y[:, 0], e1)) <= 1e-12
+    np.testing.assert_array_equal(X, np.column_stack([e1, null]))  # input not written

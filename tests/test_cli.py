@@ -98,12 +98,33 @@ def test_solve_usage_errors(tmp_path, capsys):
     ["solve", "--tau", "1"],
     ["rank", "--taus", "0.1,2"],
     ["rank", "--taus", "1e-12", "--seed", "1"],
+    ["solve", "--seed", "-1"],
 ], ids=lambda a: " ".join(a))
 def test_bad_option_values_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--generate", "kronecker_toy"])
     assert exc.value.code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gen_args", [
+    ["quadratic", "--n", "0"],
+    ["quadratic", "--n", "2"],
+    ["rectangular", "--n", "2"],
+    ["quadratic", "--gen-seed", "-1"],
+    ["tolerance", "--gen-seed", "-1"],
+    ["quadratic", "--beta0", "0", "--beta1", "0"],
+    ["rectangular", "--beta-b", "0"],
+], ids=lambda a: " ".join(a))
+@pytest.mark.parametrize("command", ["solve", "rank", "export"])
+def test_bad_generator_arguments_are_usage_errors(tmp_path, capsys, command, gen_args):
+    extra = {"solve": [], "rank": ["--taus", "1e-12"],
+             "export": ["--out-prefix", str(tmp_path / "p")]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--generate"] + gen_args + extra)
+    assert exc.value.code == 1
+    assert f"error: --generate {gen_args[0]}:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())  # export wrote nothing
 
 
 @pytest.mark.parametrize("shapes", [

@@ -6,7 +6,7 @@ import pytest
 from singpencil import problems, rank_lu
 from singpencil.dense import dense_rank
 from singpencil.errors import DimensionMismatch, FactorizationError, NonFiniteInput
-from singpencil.sparse import SparseMatrix, add_scaled
+from singpencil.sparse import SparseMatrix, add_scaled, spmv, spmv_adjoint
 
 from conftest import dense_bordered, permutation_matrix, random_rank_matrix
 
@@ -260,10 +260,22 @@ def test_solve_toy_vs_dense_oracle():
     np.testing.assert_allclose(y, np.linalg.solve(Bd.conj().T, c), atol=1e-12)
 
 
+def _pencil_at_shift(gen, sigma):
+    return add_scaled(gen.pencil.A, -sigma, gen.pencil.B)
+
+
 def test_solve_round_trip_and_adjoint_identity(rng):
-    for _ in range(5):
-        M = random_rank_matrix(rng, 12, 12, 9)
-        F = rank_lu.factor(M, 1e-10)
+    """Random rank-deficient matrices, plus one factor from each kernel:
+    quadratic n=40 (dense path) and rectangular n=200 (sparse path).  A
+    block of right-hand sides gives what the columns give one by one, in
+    the solves and in the products with M."""
+    cases = [(random_rank_matrix(rng, 12, 12, 9), 1e-10, None) for _ in range(5)]
+    cases += [(_pencil_at_shift(problems.gen_quadratic_companion(n=40, seed=1), 1.1),
+               1e-12, "dense"),
+              (_pencil_at_shift(problems.gen_rectangular(n=200), 0.9), 1e-12, "sparse")]
+    for M, tau, path in cases:
+        F = rank_lu.factor(M, tau)
+        assert path is None or F.path == path
         Bd = dense_bordered(M, F.V, F.W)
         nf = F.n_final
         b = rng.standard_normal(nf) + 1j * rng.standard_normal(nf)
@@ -273,6 +285,18 @@ def test_solve_round_trip_and_adjoint_identity(rng):
         lhs = np.vdot(c, x)
         rhs = np.vdot(rank_lu.solve_adjoint(F, c), b)
         assert abs(lhs - rhs) <= 1e-11 * max(abs(lhs), 1.0)
+        # a block, with a zero column, against its columns one at a time
+        Bk = rng.standard_normal((nf, 3)) + 1j * rng.standard_normal((nf, 3))
+        Bk[:, 1] = 0.0
+        X = rank_lu.solve(F, Bk)
+        assert X.shape == Bk.shape
+        np.testing.assert_array_equal(X, np.column_stack([rank_lu.solve(F, col) for col in Bk.T]))
+        Y = rank_lu.solve_adjoint(F, Bk)
+        cols = np.column_stack([rank_lu.solve_adjoint(F, col) for col in Bk.T])
+        np.testing.assert_allclose(Y, cols, rtol=0, atol=1e-13 * np.abs(cols).max())
+        assert rank_lu.solve(F, Bk[:, :1]).shape == (nf, 1)
+        for mv, rhs in ((spmv, Bk[:M.ncols]), (spmv_adjoint, Bk[:M.nrows])):
+            np.testing.assert_array_equal(mv(M, rhs), np.column_stack([mv(M, c) for c in rhs.T]))
 
 
 def test_solve_dimension_error():
@@ -286,7 +310,6 @@ def test_solve_dimension_error():
 def test_reconstruction_sampled_columns_large_sparse():
     """Column-sampled reconstruction check at a scale that cannot be
     densified: P @ bordered column == L @ (U column)."""
-    from singpencil.sparse import add_scaled, spmv
     rect = problems.gen_rectangular(n=2000)
     M = add_scaled(rect.pencil.A, -0.9, rect.pencil.B)
     F = rank_lu.factor(M, 1e-12)

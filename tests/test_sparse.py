@@ -75,6 +75,8 @@ def test_spmv_dimension_error():
         spmv(M, [1, 2])
     with pytest.raises(DimensionMismatch):
         spmv_adjoint(M, [1, 2])
+    with pytest.raises(DimensionMismatch):
+        spmv(M, np.ones((3, 2, 1)))
 
 
 def test_spmv_adjoint_examples():
@@ -88,11 +90,20 @@ def test_spmv_adjoint_examples():
 
 
 def test_spmv_matches_dense_oracle(rng):
+    """Vectors against the dense product; a block, adjoint included, gives
+    what its columns give one by one, bit for bit."""
     for _ in range(10):
         M = random_sparse(rng, 7, 5, density=0.4)
         x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         rel = np.linalg.norm(spmv(M, x) - M.to_dense() @ x)
         assert rel <= 1e-14 * max(1.0, np.linalg.norm(M.to_dense() @ x))
+        X = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        np.testing.assert_array_equal(spmv(M, X), np.column_stack([spmv(M, c) for c in X.T]))
+        np.testing.assert_allclose(spmv(M, X), M.to_dense() @ X, rtol=1e-14, atol=1e-14)
+        Y = rng.standard_normal((7, 2)) + 1j * rng.standard_normal((7, 2))
+        np.testing.assert_array_equal(spmv_adjoint(M, Y),
+                                      np.column_stack([spmv_adjoint(M, c) for c in Y.T]))
+        assert spmv(M, X[:, :1]).shape == (7, 1)
 
 
 def test_spmv_bitwise_deterministic(rng):

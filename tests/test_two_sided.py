@@ -5,7 +5,7 @@ import pytest
 from jsonschema import validate as schema_validate
 
 import singpencil
-from singpencil import problems
+from singpencil import arnoldi, problems, rank_lu
 from singpencil.bordered import Pencil
 from singpencil.sparse import SparseMatrix
 from singpencil.two_sided import (EigenTriplet, SolverConfig, classify,
@@ -67,6 +67,8 @@ def test_config_validation():
         SolverConfig(classify_threshold=0.0)
     with pytest.raises(ValueError):
         SolverConfig(implicit_restarts=-1)
+    with pytest.raises(ValueError):
+        SolverConfig(seed=-1)
 
 
 # -- end-to-end on analytic problems ---------------------------------------------------
@@ -155,6 +157,26 @@ def test_wide_pencil_full_pipeline():
     # the empty right border makes the left norms the informative side
     spurs = [t for t in res.triplets if t.label == "Spurious"]
     assert spurs and all(s.y_border_norm > 1e-3 for s in spurs)
+
+
+@pytest.mark.parametrize("gen, sigma, steps, restarts, counts", [
+    (lambda: problems.gen_quadratic_companion(n=40, seed=1), 1.1, 20, 1, (22, 22, 2)),
+    (lambda: problems.gen_rectangular(n=200), 0.9, 10, 2, (12, 0, 1)),
+], ids=["quadratic", "rectangular"])
+def test_purification_is_one_call_per_side(monkeypatch, gen, sigma, steps, restarts, counts):
+    """Each side's Ritz vectors are purified by one operator application on
+    a block: beyond the start vector and the Arnoldi steps, the projection
+    adds one forward (and, two-sided, one adjoint) solve."""
+    calls = {"solve": 0, "solve_adjoint": 0, "purify": 0}
+    for mod, name in ((rank_lu, "solve"), (rank_lu, "solve_adjoint"), (arnoldi, "purify")):
+        def counted(*args, _fn=getattr(mod, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(mod, name, counted)
+    cfg = SolverConfig(sigma=sigma, tau=1e-12, krylov_steps=steps,
+                       implicit_restarts=restarts, seed=1)
+    solve_singular_full(gen().pencil, cfg)
+    assert (calls["solve"], calls["solve_adjoint"], calls["purify"]) == counts
 
 
 @pytest.mark.parametrize("seed", range(20))
