@@ -6,11 +6,11 @@ __version__ = "0.1.0"
 
 from .sparse import SparseMatrix, spmv, spmv_adjoint, norm_estimate, add_scaled
 from .mmio import read_matrix_market, write_matrix_market
-from .dense import DenseQR, DenseEig, qr, hessenberg_eig, small_generalized_eig, dense_rank
+from .dense import DenseEig, qr, hessenberg_eig, small_generalized_eig, dense_rank
 from .rank_lu import RankLU, factor, solve, solve_adjoint
 from .bordered import (Pencil, BorderedPencil, ShiftInvertOperator, regularize,
                        assemble_bordered)
-from .arnoldi import (ArnoldiDecomposition, RitzPair, arnoldi_run,
+from .arnoldi import (ArnoldiDecomposition, arnoldi_run,
                       implicit_restart_infinity, ritz_pairs, purify, start_vector)
 from .two_sided import (SolverConfig, EigenTriplet, SolveResult, solve_singular,
                         solve_singular_full, classify, tau_sweep,

@@ -11,7 +11,6 @@ Krylov space by the operator and thereby filters nullspace components.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -46,12 +45,6 @@ class ArnoldiDecomposition:
     @property
     def square_hess(self):
         return self.hess[:self.steps, :self.steps]
-
-
-class RitzPair(NamedTuple):
-    theta: complex
-    z: np.ndarray
-    residual_estimate: float
 
 
 def start_vector(S, seed):
@@ -150,18 +143,18 @@ def implicit_restart_infinity(d):
     dimension is preserved.
     """
     if d.exact:
-        f = dense.qr(d.hess)
-        basis = d.basis @ f.Q
-        hess = f.R @ f.Q
+        Q, R = dense.qr(d.hess)
+        basis = d.basis @ Q
+        hess = R @ Q
         basis, hess = _phase_normalize(basis, hess, square=True)
         return ArnoldiDecomposition(basis=basis, hess=hess, leading=d.leading,
                                     steps=d.steps, exact=True, breakdown=d.breakdown)
     if d.steps < 2:
         raise ValueError("implicit restart needs at least 2 steps")
     s = d.steps
-    f = dense.qr(d.hess)          # (s+1) x s economy factorization
-    basis = d.basis @ f.Q         # n x s
-    hess = f.R @ f.Q[:s, :s - 1]  # s x (s-1) extended Hessenberg
+    Q, R = dense.qr(d.hess)       # (s+1) x s economy factorization
+    basis = d.basis @ Q           # n x s
+    hess = R @ Q[:s, :s - 1]      # s x (s-1) extended Hessenberg
     basis, hess = _phase_normalize(basis, hess, square=False)
     return ArnoldiDecomposition(basis=basis, hess=hess, leading=d.leading, steps=s - 1)
 
@@ -169,21 +162,20 @@ def implicit_restart_infinity(d):
 def ritz_pairs(d):
     """Eigenpairs of the square Hessenberg part with recurrence residuals.
 
-    ``residual_estimate = h_{l+1,l} |e_l* z|`` (zero after an exact
-    breakdown); pairs are sorted by ascending residual.  Ritz values map to
-    pencil eigenvalues via ``lambda = sigma + 1/theta`` in the caller.
+    Returns arrays ``(theta, Z, residual)``: Ritz values, unit-norm
+    eigenvector columns of ``d.square_hess`` and the estimates
+    ``residual[i] = h_{l+1,l} |e_l* Z[:, i]|`` (zero after an exact
+    breakdown), sorted by ascending residual; ties keep
+    ``hessenberg_eig``'s order.  Ritz values map to pencil eigenvalues via
+    ``lambda = sigma + 1/theta`` in the caller.
     """
     if d.steps < 1:
         raise ValueError("empty decomposition")
     theta, Z = dense.hessenberg_eig(d.square_hess)
     hlast = 0.0 if d.exact else float(d.hess[d.steps, d.steps - 1].real)
-    pairs = [
-        RitzPair(theta=complex(theta[i]), z=Z[:, i],
-                 residual_estimate=abs(hlast * Z[-1, i]))
-        for i in range(d.steps)
-    ]
-    pairs.sort(key=lambda rp: rp.residual_estimate)
-    return pairs
+    residual = np.abs(hlast * Z[-1])
+    order = np.argsort(residual, kind="stable")
+    return theta[order], Z[:, order], residual[order]
 
 
 def purify(S, X):

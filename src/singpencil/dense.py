@@ -19,14 +19,6 @@ INF_THETA_RTOL = 1e-14
 
 
 @dataclass(frozen=True)
-class DenseQR:
-    """Unitary factor Q and upper-triangular factor R with nonnegative real
-    diagonal."""
-    Q: np.ndarray
-    R: np.ndarray
-
-
-@dataclass(frozen=True)
 class DenseEig:
     """Eigenvalues with unit-norm right and left eigenvector columns.
 
@@ -39,32 +31,21 @@ class DenseEig:
     infinite: np.ndarray
 
 
-def _phase_fix(Q, R):
-    """Scale so diag(R) is real nonnegative; returns new (Q, R)."""
-    Q = Q.copy()
-    R = R.copy()
-    for j in range(min(R.shape)):
-        d = R[j, j]
-        if d != 0.0:
-            ph = d / abs(d)
-            R[j, j:] *= np.conj(ph)
-            Q[:, j] *= ph
-    return Q, R
-
-
 def qr(M):
     """Economy Householder QR of a tall or square dense matrix.
 
-    Deterministic sign convention: the diagonal of R is real nonnegative.
-    Rank-deficient input is allowed (R simply gets small or zero diagonal
-    entries).
+    Returns ``(Q, R)``: Q has orthonormal columns and the shape of M, R is
+    upper triangular with a real nonnegative diagonal (a deterministic sign
+    convention).  Rank-deficient input is allowed (R simply gets small or
+    zero diagonal entries).
     """
     M = np.asarray(M, dtype=np.complex128)
     if M.ndim != 2 or M.shape[0] < M.shape[1]:
         raise DimensionMismatch("qr expects a 2-d matrix with nrows >= ncols")
     Q, R = np.linalg.qr(M, mode="reduced")
-    Q, R = _phase_fix(Q, R)
-    return DenseQR(Q=Q, R=np.triu(R))
+    d = np.diagonal(R)
+    phase = np.divide(d, np.abs(d), out=np.ones_like(d), where=d != 0.0)
+    return Q * phase, np.triu(np.conj(phase)[:, None] * R)
 
 
 def _sort_keys(values):

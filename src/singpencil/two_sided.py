@@ -35,7 +35,8 @@ class SolverConfig:
     and filter infinite-eigenvalue components.  ``classify_threshold`` is
     the border-norm cut between true and spurious on unit vectors.  An
     out-of-range value (a non-finite ``sigma``, a ``tau`` outside
-    ``[0, 1)``, a negative ``seed``, ...) raises ``ValueError``.
+    ``[0, 1)``, a negative ``seed``, a ``krylov_steps`` that is not an
+    integer, ...) raises ``ValueError``.
     """
 
     sigma: complex = 0.0
@@ -46,6 +47,11 @@ class SolverConfig:
     seed: int = 42
 
     def __post_init__(self):
+        for name in ("krylov_steps", "implicit_restarts", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer; got {value!r}")
+            object.__setattr__(self, name, int(value))  # a numpy integer is not JSON
         if not np.isfinite(complex(self.sigma)):
             raise ValueError(f"sigma must be finite; got {self.sigma}")
         if not (0.0 <= self.tau < 1.0):
@@ -128,13 +134,19 @@ def _run_side(S, cfg, seed):
     return d
 
 
-def _residual(A_hat, B_hat, lam, infinite, vec, a_norm, b_norm, left=False):
-    mv = spmv_adjoint if left else spmv
-    if infinite:
-        return float(np.linalg.norm(mv(B_hat, vec)) / max(b_norm, 1e-300))
-    scale = a_norm + abs(lam) * b_norm
-    r = mv(A_hat, vec) - (np.conj(lam) if left else lam) * mv(B_hat, vec)
-    return float(np.linalg.norm(r) / max(scale, 1e-300))
+def _residuals(mv, bp, lam, infinite, X):
+    """Relative pencil residuals of the columns of X, from one product of
+    the block with each bordered matrix: ``mv`` is ``spmv`` for right
+    vectors, or ``spmv_adjoint`` with conjugated ``lam`` for left ones.
+    A finite column gives ``|A^ x - lam B^ x| / (|A^| + |lam| |B^|)``, an
+    ``infinite`` one ``|B^ x| / |B^|``, in one-norm matrix scales."""
+    a_norm = norm_estimate(bp.a_matrix)
+    b_norm = norm_estimate(bp.b_matrix)
+    lam = np.where(infinite, 0.0, lam)
+    BX = mv(bp.b_matrix, X)
+    R = mv(bp.a_matrix, X) - lam * BX
+    finite = np.linalg.norm(R, axis=0) / np.maximum(a_norm + np.abs(lam) * b_norm, 1e-300)
+    return np.where(infinite, np.linalg.norm(BX, axis=0) / max(b_norm, 1e-300), finite)
 
 
 def solve_singular_full(p, cfg):
@@ -184,25 +196,39 @@ def _purify_finite(S, X, infinite):
         infinite[cols[null]] = True
 
 
+def _triplets(cfg, lam, infinite, X, xb, res_x, Y=None, yb=None, res_y=None):
+    """Labelled triplets from per-column arrays: eigenvalues ``lam`` (read
+    only where not ``infinite``), unit vectors, border norms and residuals
+    of the right side and, two-sided, of the left side.  A Spurious triplet
+    whose two border norms fall on opposite sides of the threshold is
+    flagged ``asymmetric-border``."""
+    thr = cfg.classify_threshold
+    out = []
+    for i in range(infinite.size):
+        t = EigenTriplet(
+            lam=complex(np.inf) if infinite[i] else complex(lam[i]),
+            infinite=bool(infinite[i]), x=X[:, i], y=None if Y is None else Y[:, i],
+            x_border_norm=float(xb[i]), y_border_norm=None if yb is None else float(yb[i]),
+            residual_right=float(res_x[i]),
+            residual_left=None if res_y is None else float(res_y[i]),
+        )
+        label = classify(t, thr)
+        flags = ()
+        if label == LABEL_SPURIOUS and yb is not None and (xb[i] < thr) != (yb[i] < thr):
+            flags = ("asymmetric-border",)
+        out.append(replace(t, label=label, flags=flags))
+    return out
+
+
 def _one_sided_triplets(S, d, cfg):
-    pairs = _arnoldi.ritz_pairs(d)
-    theta = np.array([rp.theta for rp in pairs])
+    theta, Z, residual = _arnoldi.ritz_pairs(d)
     theta_scale = np.linalg.norm(d.square_hess, 2)
     infinite = np.abs(theta) < dense.INF_THETA_RTOL * max(theta_scale, 1e-300)
-    X = dense._unit_columns(d.basis[:, :d.steps] @ np.column_stack([rp.z for rp in pairs]))
+    # Python's scalar complex division; numpy's rounds some quotients differently
+    lam = [cfg.sigma + 1.0 / complex(t) for t in np.where(infinite, 1.0, theta)]
+    X = dense._unit_columns(d.basis[:, :d.steps] @ Z)
     _purify_finite(S, X, infinite)
-    xb = np.linalg.norm(X[S.leading:], axis=0)
-    out = []
-    for i, rp in enumerate(pairs):
-        t = EigenTriplet(
-            lam=complex(np.inf) if infinite[i] else complex(cfg.sigma + 1.0 / rp.theta),
-            infinite=bool(infinite[i]), x=X[:, i], y=None,
-            x_border_norm=float(xb[i]), y_border_norm=None,
-            residual_right=rp.residual_estimate,
-            residual_left=None,
-        )
-        out.append(replace(t, label=classify(t, cfg.classify_threshold)))
-    return out
+    return _triplets(cfg, lam, infinite, X, np.linalg.norm(X[S.leading:], axis=0), residual)
 
 
 def _two_sided_triplets(S, Sa, fwd, adj, cfg):
@@ -229,35 +255,19 @@ def _two_sided_triplets(S, Sa, fwd, adj, cfg):
     Y = dense._unit_columns(Wk[:, :k] @ eig.left_vectors)
     _purify_finite(S, X, infinite)
     _purify_finite(Sa, Y, infinite)  # y only where x stayed finite
-    xb = np.linalg.norm(X[S.leading:], axis=0)
-    yb = np.linalg.norm(Y[Sa.leading:], axis=0)
-    a_norm = norm_estimate(bp.a_matrix)
-    b_norm = norm_estimate(bp.b_matrix)
-    thr = cfg.classify_threshold
-    out = []
-    for i in range(k):
-        lam = np.inf if infinite[i] else eig.eigenvalues[i]
-        x, y = X[:, i], Y[:, i]
-        t = EigenTriplet(
-            lam=complex(lam), infinite=bool(infinite[i]), x=x, y=y,
-            x_border_norm=float(xb[i]), y_border_norm=float(yb[i]),
-            residual_right=_residual(bp.a_matrix, bp.b_matrix, lam, infinite[i], x,
-                                     a_norm, b_norm),
-            residual_left=_residual(bp.a_matrix, bp.b_matrix, lam, infinite[i], y,
-                                    a_norm, b_norm, left=True),
-        )
-        label = classify(t, thr)
-        flags = ()
-        if label == LABEL_SPURIOUS and (xb[i] < thr) != (yb[i] < thr):
-            flags = ("asymmetric-border",)
-        out.append(replace(t, label=label, flags=flags))
-    return out
+    lam = eig.eigenvalues
+    return _triplets(cfg, lam, infinite,
+                     X, np.linalg.norm(X[S.leading:], axis=0),
+                     _residuals(spmv, bp, lam, infinite, X),
+                     Y, np.linalg.norm(Y[Sa.leading:], axis=0),
+                     _residuals(spmv_adjoint, bp, np.conj(lam), infinite, Y))
 
 
 def tau_sweep(p, sigma, taus):
     """Factor ``A - sigma B`` at each tolerance and return one
     :class:`~singpencil.rank_lu.RankLU` per tau, so a user can pick a tau
     where the border size is stable."""
+    taus = [float(tau) for tau in taus]
     if not taus:
         raise ValueError("taus must be nonempty")
     return [regularize(p, sigma, tau).lu for tau in taus]

@@ -5,6 +5,7 @@ from singpencil import problems
 from singpencil.arnoldi import (arnoldi_run, implicit_restart_infinity, purify,
                                 ritz_pairs, start_vector)
 from singpencil.bordered import Pencil, ShiftInvertOperator, regularize
+from singpencil.dense import hessenberg_eig
 from singpencil.errors import StartVectorError
 from singpencil.sparse import SparseMatrix
 
@@ -178,10 +179,10 @@ def test_restart_requires_two_steps():
 def test_ritz_single_breakdown_zero_residual():
     S = DiagOperator([0.5, 0.25])
     d = arnoldi_run(S, np.array([1.0, 0.0]), 2)
-    pairs = ritz_pairs(d)
-    assert len(pairs) == 1
-    assert pairs[0].theta == pytest.approx(0.5)
-    assert pairs[0].residual_estimate == 0.0
+    theta, Z, residual = ritz_pairs(d)
+    assert len(theta) == 1 and Z.shape == (1, 1)
+    assert theta[0] == pytest.approx(0.5)
+    assert residual[0] == 0.0
 
 
 def test_ritz_full_run_recovers_diag_spectrum(rng):
@@ -189,8 +190,12 @@ def test_ritz_full_run_recovers_diag_spectrum(rng):
     S = DiagOperator(entries)
     v0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     d = arnoldi_run(S, v0, 4)
-    thetas = sorted((p.theta.real for p in ritz_pairs(d)), reverse=True)
+    theta, _, residual = ritz_pairs(d)
+    thetas = sorted(theta.real, reverse=True)
     np.testing.assert_allclose(thetas, sorted(entries, reverse=True), atol=1e-12)
+    # an exact run ties every residual at zero, so the order stays hessenberg_eig's
+    assert d.exact and not residual.any()
+    np.testing.assert_array_equal(theta, hessenberg_eig(d.square_hess)[0])
 
 
 def test_ritz_sorted_by_residual(rng):
@@ -198,8 +203,10 @@ def test_ritz_sorted_by_residual(rng):
     bp = regularize(tol.pencil, 0.0, 1e-12)
     S = ShiftInvertOperator(bp, "forward")
     d = arnoldi_run(S, start_vector(S, 9), 5)
-    res = [p.residual_estimate for p in ritz_pairs(d)]
-    assert res == sorted(res)
+    theta, Z, res = ritz_pairs(d)
+    assert list(res) == sorted(res)
+    # each residual is the recurrence estimate of its own Ritz vector
+    np.testing.assert_array_equal(res, np.abs(d.hess[d.steps, d.steps - 1].real * Z[-1]))
 
 
 # -- the compressed-operator equivalence ---------------------------------------------
@@ -248,7 +255,7 @@ def test_border_infinite_copies_not_seen():
     comp_zeros = np.sum(np.abs(np.linalg.eigvals(compressed)) <= 1e-12)
     assert full_zeros == comp_zeros + 1  # the border-induced copy
     d = arnoldi_run(S, start_vector(S, 17), 5)
-    thetas = np.array([p.theta for p in ritz_pairs(d)])
+    thetas = ritz_pairs(d)[0]
     assert np.sum(np.abs(thetas) <= 1e-12) <= comp_zeros
     assert np.any(np.abs(thetas - 1.0) <= 1e-10)  # the true eigenvalue
     assert len(thetas) < bp.size  # the full spectrum is never materialized

@@ -99,6 +99,10 @@ def test_solve_usage_errors(tmp_path, capsys):
     ["rank", "--taus", "0.1,2"],
     ["rank", "--taus", "1e-12", "--seed", "1"],
     ["solve", "--seed", "-1"],
+    ["solve", "--a", "x.mtx"],
+    ["rank", "--taus", ","],
+    ["rank", "--taus", "abc"],
+    ["solve", "--shift", "1,2,3"],
 ], ids=lambda a: " ".join(a))
 def test_bad_option_values_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -55,32 +55,32 @@ def match_sets(a, b):
 # -- qr -------------------------------------------------------------------------
 
 def test_qr_identity():
-    f = qr(np.eye(3))
-    np.testing.assert_allclose(f.Q, np.eye(3), atol=1e-15)
-    np.testing.assert_allclose(f.R, np.eye(3), atol=1e-15)
+    Q, R = qr(np.eye(3))
+    np.testing.assert_allclose(Q, np.eye(3), atol=1e-15)
+    np.testing.assert_allclose(R, np.eye(3), atol=1e-15)
 
 
 def test_qr_unitary_input():
-    f = qr(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert abs(abs(np.linalg.det(f.R)) - 1.0) < 1e-14
+    Q, R = qr(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert abs(abs(np.linalg.det(R)) - 1.0) < 1e-14
 
 
 def test_qr_reconstruction_and_convention(rng):
     M = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
-    f = qr(M)
-    assert np.linalg.norm(f.Q @ f.R - M) <= 1e-13 * np.linalg.norm(M)
-    assert np.abs(f.Q.conj().T @ f.Q - np.eye(4)).max() <= 1e-12
-    d = np.diag(f.R)
+    Q, R = qr(M)
+    assert np.linalg.norm(Q @ R - M) <= 1e-13 * np.linalg.norm(M)
+    assert np.abs(Q.conj().T @ Q - np.eye(4)).max() <= 1e-12
+    d = np.diag(R)
     assert np.all(d.real >= -1e-15) and np.abs(d.imag).max() <= 1e-15
-    assert np.all(np.tril(f.R, -1) == 0.0)
-    assert f.Q.shape == (6, 4) and f.R.shape == (4, 4)
+    assert np.all(np.tril(R, -1) == 0.0)
+    assert Q.shape == (6, 4) and R.shape == (4, 4)
 
 
 def test_qr_full_mode_and_errors(rng):
     # qr has only the economy form: a tall input gives Q of its own shape
     M = rng.standard_normal((5, 3))
-    f = qr(M)
-    assert f.Q.shape == (5, 3) and f.R.shape == (3, 3)
+    Q, R = qr(M)
+    assert Q.shape == (5, 3) and R.shape == (3, 3)
     with pytest.raises(DimensionMismatch):
         qr(rng.standard_normal((3, 5)))
     with pytest.raises(DimensionMismatch):
@@ -89,8 +89,8 @@ def test_qr_full_mode_and_errors(rng):
 
 def test_qr_rank_deficient_allowed():
     M = np.ones((4, 3))
-    f = qr(M)
-    assert np.linalg.norm(f.Q @ f.R - M) <= 1e-13 * np.linalg.norm(M)
+    Q, R = qr(M)
+    assert np.linalg.norm(Q @ R - M) <= 1e-13 * np.linalg.norm(M)
 
 
 # -- hessenberg_eig --------------------------------------------------------------

@@ -37,11 +37,14 @@ def test_read_complex_and_duplicates(tmp_path):
     ("%%MatrixMarket matrix coordinate real symmetric", "symmetry"),
     ("%%MatrixMarket matrix coordinate pattern general", "field"),
     ("nonsense", "banner"),
+    ("%%MatrixMarket matrix coordinate real", "malformed banner"),
+    ("%%MatrixMarket matrix coordinate real general\n% comment\n%", "missing size line"),
 ])
 def test_read_rejects_unsupported(tmp_path, header, msg):
     p = tmp_path / "bad.mtx"
-    p.write_text(header + "\n1 1 0\n")
-    with pytest.raises(MatrixMarketError):
+    size_line = "" if msg == "missing size line" else "\n1 1 0\n"
+    p.write_text(header + size_line)
+    with pytest.raises(MatrixMarketError, match=msg):
         read_matrix_market(p)
 
 

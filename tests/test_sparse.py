@@ -24,6 +24,20 @@ def test_invariants_rejected():
         SparseMatrix(2, 2, [0, 2, 1], [0, 1, 0], [1.0, 1.0, 1.0])  # decreasing col_ptr
     with pytest.raises(DimensionMismatch):
         SparseMatrix.from_coo(2, 2, [2], [0], [1.0])  # row out of range
+    # inputs that pass the earlier checks and reach each later one
+    with pytest.raises(DimensionMismatch, match="nondecreasing"):
+        SparseMatrix(2, 3, [0, 2, 1, 3], [0, 1, 0], [1.0, 1.0, 1.0])
+    for rows in ([2], [-1]):
+        with pytest.raises(DimensionMismatch, match="row index out of range"):
+            SparseMatrix(2, 1, [0, 1], rows, [1.0])
+    with pytest.raises(DimensionMismatch, match="length ncols"):
+        SparseMatrix(2, 2, [0, 1], [0], [1.0])
+    with pytest.raises(DimensionMismatch, match="negative"):
+        SparseMatrix(-1, 0, [0], [], [])
+    with pytest.raises(DimensionMismatch, match="equal length"):
+        SparseMatrix.from_coo(2, 2, [0, 1], [0], [1.0])
+    with pytest.raises(DimensionMismatch, match="2-d"):
+        SparseMatrix.from_dense(np.ones(3))
 
 
 coo_strategy = st.integers(1, 6).flatmap(

@@ -1,13 +1,14 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from jsonschema import validate as schema_validate
 
 import singpencil
-from singpencil import arnoldi, problems, rank_lu
+from singpencil import arnoldi, cli, problems, rank_lu, two_sided
 from singpencil.bordered import Pencil
-from singpencil.sparse import SparseMatrix
+from singpencil.sparse import SparseMatrix, norm_estimate, spmv, spmv_adjoint
 from singpencil.two_sided import (EigenTriplet, SolverConfig, classify,
                                   result_table_text, result_to_dict,
                                   result_to_json, solve_singular,
@@ -69,6 +70,13 @@ def test_config_validation():
         SolverConfig(implicit_restarts=-1)
     with pytest.raises(ValueError):
         SolverConfig(seed=-1)
+    # counts and seeds must be integers; a bool is not one
+    for bad in ({"krylov_steps": 4.5}, {"implicit_restarts": 0.5}, {"seed": 1.5},
+                {"krylov_steps": True}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SolverConfig(**bad)
+    cfg = SolverConfig(krylov_steps=np.int64(5), implicit_restarts=np.int32(1), seed=np.uint8(3))
+    assert json.dumps([cfg.krylov_steps, cfg.implicit_restarts, cfg.seed]) == "[5, 1, 3]"
 
 
 # -- end-to-end on analytic problems ---------------------------------------------------
@@ -159,16 +167,21 @@ def test_wide_pencil_full_pipeline():
     assert spurs and all(s.y_border_norm > 1e-3 for s in spurs)
 
 
-@pytest.mark.parametrize("gen, sigma, steps, restarts, counts", [
-    (lambda: problems.gen_quadratic_companion(n=40, seed=1), 1.1, 20, 1, (22, 22, 2)),
-    (lambda: problems.gen_rectangular(n=200), 0.9, 10, 2, (12, 0, 1)),
+@pytest.mark.parametrize("gen, sigma, steps, restarts, counts, products", [
+    (lambda: problems.gen_quadratic_companion(n=40, seed=1), 1.1, 20, 1, (22, 22, 2), (4, 2)),
+    (lambda: problems.gen_rectangular(n=200), 0.9, 10, 2, (12, 0, 1), (0, 0)),
 ], ids=["quadratic", "rectangular"])
-def test_purification_is_one_call_per_side(monkeypatch, gen, sigma, steps, restarts, counts):
+def test_purification_is_one_call_per_side(monkeypatch, gen, sigma, steps, restarts, counts,
+                                           products):
     """Each side's Ritz vectors are purified by one operator application on
     a block: beyond the start vector and the Arnoldi steps, the projection
-    adds one forward (and, two-sided, one adjoint) solve."""
-    calls = {"solve": 0, "solve_adjoint": 0, "purify": 0}
-    for mod, name in ((rank_lu, "solve"), (rank_lu, "solve_adjoint"), (arnoldi, "purify")):
+    adds one forward (and, two-sided, one adjoint) solve.  Two-sided, the
+    projection multiplies blocks by the bordered matrices: two products
+    project the pencil and each side's residuals take one with A^ and
+    one with B^."""
+    calls = {"solve": 0, "solve_adjoint": 0, "purify": 0, "spmv": 0, "spmv_adjoint": 0}
+    for mod, name in ((rank_lu, "solve"), (rank_lu, "solve_adjoint"), (arnoldi, "purify"),
+                      (two_sided, "spmv"), (two_sided, "spmv_adjoint")):
         def counted(*args, _fn=getattr(mod, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
@@ -177,6 +190,7 @@ def test_purification_is_one_call_per_side(monkeypatch, gen, sigma, steps, resta
                        implicit_restarts=restarts, seed=1)
     solve_singular_full(gen().pencil, cfg)
     assert (calls["solve"], calls["solve_adjoint"], calls["purify"]) == counts
+    assert (calls["spmv"], calls["spmv_adjoint"]) == products
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -220,6 +234,12 @@ def test_tau_sweep_identity_pencil():
     assert all(F.border_rows == 0 and F.border_cols == 0 for F in factors)
     with pytest.raises(ValueError):
         tau_sweep(p, 3.0, [])
+    # any iterable of numbers: an array, and empty ones
+    taus = np.logspace(-15, -5, 3)
+    assert [F.tau for F in tau_sweep(p, 3.0, taus)] == list(taus)
+    for empty in (np.array([]), (tau for tau in ())):
+        with pytest.raises(ValueError, match="nonempty"):
+            tau_sweep(p, 3.0, empty)
 
 
 # -- serialization --------------------------------------------------------------------
@@ -266,10 +286,41 @@ def test_result_table_layouts():
     assert "residual" in header1 and "x_border" in header1
 
 
-def test_infinite_rows_render_as_inf():
+def test_infinite_rows_render_as_inf(monkeypatch, capsys):
     toy = problems.gen_kronecker_toy()
     cfg = SolverConfig(sigma=0.0, tau=1e-12, krylov_steps=5, implicit_restarts=0)
     res = solve_singular_full(toy.pencil, cfg)
-    doc = result_to_dict(res)
-    if any(t.infinite for t in res.triplets):
-        assert any(r["eigenvalue"] == "inf" for r in doc["results"])
+    bp = res.bordered
+    A, B = bp.a_matrix, bp.b_matrix
+    a_norm, b_norm = norm_estimate(A), norm_estimate(B)
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((bp.size, 3)) + 1j * rng.standard_normal((bp.size, 3))
+    lam = np.array([2.0 - 1j, np.inf, 0.5])
+    infinite = np.isinf(lam)
+    # one product per matrix on the block gives each column's scalar residual
+    for mv, side_lam in ((spmv, lam), (spmv_adjoint, np.conj(lam))):
+        got = two_sided._residuals(mv, bp, side_lam, infinite, X)
+        for j, x in enumerate(X.T):
+            if infinite[j]:
+                want = np.linalg.norm(mv(B, x)) / b_norm
+            else:
+                want = (np.linalg.norm(mv(A, x) - side_lam[j] * mv(B, x))
+                        / (a_norm + abs(lam[j]) * b_norm))
+            assert got[j] == pytest.approx(want, rel=1e-14)
+
+    x = np.zeros(bp.size, dtype=complex)
+    x[-1] = 1.0
+    inf_t = EigenTriplet(lam=complex(np.inf), infinite=True, x=x, y=x,
+                         x_border_norm=1.0, y_border_norm=1.0,
+                         residual_right=0.0, residual_left=0.0, label="Infinite")
+    res = replace(res, triplets=res.triplets + [inf_t])
+
+    rows = [ln.split() for ln in result_table_text(res).splitlines()[1:]]
+    assert ["inf", "1.000e+00", "1.000e+00", "Infinite"] in rows
+    doc = json.loads(result_to_json(res))
+    schema_validate(doc, _schema())
+    assert doc["results"][-1]["eigenvalue"] == "inf" and doc["results"][-1]["infinite"]
+    monkeypatch.setattr(cli, "solve_singular_full", lambda p, c: res)
+    assert cli.main(["solve", "--generate", "kronecker_toy", "--format", "csv"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert last[:3] == ["inf", "", "True"] and last[-2] == "Infinite"
