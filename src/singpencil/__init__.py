@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .sparse import SparseMatrix, spmv, spmv_adjoint, norm_estimate, add_scaled
 from .mmio import read_matrix_market, write_matrix_market
-from .dense import DenseEig, qr, hessenberg_eig, small_generalized_eig, dense_rank
+from .dense import qr, hessenberg_eig, small_generalized_eig, dense_rank
 from .rank_lu import RankLU, factor, solve, solve_adjoint
 from .bordered import (Pencil, BorderedPencil, ShiftInvertOperator, regularize,
                        assemble_bordered)

@@ -27,10 +27,11 @@ class ArnoldiDecomposition:
 
     Normally ``basis`` has ``steps + 1`` columns and ``hess`` is
     ``(steps + 1) x steps``; when the iteration broke down the trailing
-    vector is dropped, ``hess`` is square and ``exact`` is set (the basis
+    vector is dropped, ``hess`` is square and ``exact`` holds (the basis
     then spans an invariant subspace of the operator, at least in the
-    seminorm).  ``leading`` is the length of the block the seminorm sees.
-    Subdiagonal entries of ``hess`` are real nonnegative.
+    seminorm).  ``steps`` is the column count of ``hess``; ``exact``
+    means ``breakdown`` is set.  ``leading`` is the length of the block
+    the seminorm sees.
     ``breakdown`` is ``None``, ``"lucky"`` (candidate vector vanished) or
     ``"kernel"`` (candidate fell into the seminorm kernel).
     """
@@ -38,9 +39,15 @@ class ArnoldiDecomposition:
     basis: np.ndarray
     hess: np.ndarray
     leading: int
-    steps: int
-    exact: bool = False
     breakdown: str | None = None
+
+    @property
+    def steps(self):
+        return self.hess.shape[1]
+
+    @property
+    def exact(self):
+        return self.breakdown is not None
 
     @property
     def square_hess(self):
@@ -73,9 +80,9 @@ def arnoldi_run(S, v0, steps):
     v0 : start vector; must not lie in the seminorm kernel.
     steps : requested Krylov dimension (>= 1).
 
-    On breakdown the decomposition is truncated and returned with the
-    ``exact`` flag; ``breakdown == "kernel"`` signals that a fresh start
-    vector may uncover more of the space.
+    On breakdown the decomposition is truncated to an ``exact`` one;
+    ``breakdown == "kernel"`` signals that a fresh start vector may
+    uncover more of the space.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -106,57 +113,31 @@ def arnoldi_run(S, v0, steps):
         wnorm = np.linalg.norm(w)
         if hnext <= BREAKDOWN_RTOL * wnorm or wnorm <= BREAKDOWN_RTOL * sv_norm:
             kind = "lucky" if wnorm <= BREAKDOWN_RTOL * max(sv_norm, 1e-300) else "kernel"
-            return ArnoldiDecomposition(
-                basis=V[:, :i + 1].copy(), hess=H[:i + 1, :i + 1].copy(),
-                leading=ell, steps=i + 1, exact=True, breakdown=kind)
+            return ArnoldiDecomposition(V[:, :i + 1].copy(), H[:i + 1, :i + 1].copy(),
+                                        ell, kind)
         H[i + 1, i] = hnext  # real nonnegative by construction
         V[:, i + 1] = w / hnext
 
-    return ArnoldiDecomposition(basis=V, hess=H, leading=ell, steps=steps)
-
-
-def _phase_normalize(basis, hess, square):
-    """Diagonal unitary similarity making subdiagonals real nonnegative."""
-    rows = hess.shape[0]
-    d = np.ones(rows, dtype=np.complex128)
-    for j in range(min(hess.shape[1], rows - 1)):
-        t = hess[j + 1, j] * d[j]
-        d[j + 1] = t / abs(t) if t != 0.0 else 1.0
-    cols = rows if square else rows - 1
-    hess = np.conj(d)[:, None] * hess * d[None, :cols]
-    # entries that should vanish are exact zeros; enforce rather than trust
-    hess = np.triu(hess, -1)
-    sub = np.arange(min(hess.shape[1], rows - 1))
-    hess[sub + 1, sub] = np.abs(hess[sub + 1, sub])
-    basis = basis * d[None, :]
-    return basis, hess
+    return ArnoldiDecomposition(V, H, ell)
 
 
 def implicit_restart_infinity(d):
     """One implicit QR restart with shift at infinity (zero shift on the
-    inverted operator).
+    inverted operator): ``hess = QR``, basis ``basis Q``, Hessenberg
+    ``RQ`` restricted to the kept columns.
 
-    For a regular decomposition this shortens the basis by one column and
-    multiplies the Krylov space by the operator, purging components of its
-    nullspace.  For an exact (broken-down) decomposition the space is
-    already invariant, so a square QR similarity step is performed and the
-    dimension is preserved.
+    A regular decomposition loses one column and its Krylov space is
+    multiplied by the operator, purging components of its nullspace.  An
+    exact (broken-down) one keeps its dimension: its space is already
+    invariant, and the step moves a nullspace direction it holds into the
+    last column, whose row of ``hess`` then vanishes.
     """
-    if d.exact:
-        Q, R = dense.qr(d.hess)
-        basis = d.basis @ Q
-        hess = R @ Q
-        basis, hess = _phase_normalize(basis, hess, square=True)
-        return ArnoldiDecomposition(basis=basis, hess=hess, leading=d.leading,
-                                    steps=d.steps, exact=True, breakdown=d.breakdown)
-    if d.steps < 2:
+    if not d.exact and d.steps < 2:
         raise ValueError("implicit restart needs at least 2 steps")
-    s = d.steps
-    Q, R = dense.qr(d.hess)       # (s+1) x s economy factorization
-    basis = d.basis @ Q           # n x s
-    hess = R @ Q[:s, :s - 1]      # s x (s-1) extended Hessenberg
-    basis, hess = _phase_normalize(basis, hess, square=False)
-    return ArnoldiDecomposition(basis=basis, hess=hess, leading=d.leading, steps=s - 1)
+    Q, R = dense.qr(d.hess)
+    steps = d.steps if d.exact else d.steps - 1
+    hess = np.triu(R @ Q[:d.steps, :steps], -1)
+    return ArnoldiDecomposition(d.basis @ Q, hess, d.leading, d.breakdown)
 
 
 def ritz_pairs(d):
@@ -164,7 +145,7 @@ def ritz_pairs(d):
 
     Returns arrays ``(theta, Z, residual)``: Ritz values, unit-norm
     eigenvector columns of ``d.square_hess`` and the estimates
-    ``residual[i] = h_{l+1,l} |e_l* Z[:, i]|`` (zero after an exact
+    ``residual[i] = |h_{l+1,l}| |e_l* Z[:, i]|`` (zero after an exact
     breakdown), sorted by ascending residual; ties keep
     ``hessenberg_eig``'s order.  Ritz values map to pencil eigenvalues via
     ``lambda = sigma + 1/theta`` in the caller.
@@ -172,7 +153,7 @@ def ritz_pairs(d):
     if d.steps < 1:
         raise ValueError("empty decomposition")
     theta, Z = dense.hessenberg_eig(d.square_hess)
-    hlast = 0.0 if d.exact else float(d.hess[d.steps, d.steps - 1].real)
+    hlast = 0.0 if d.exact else abs(d.hess[d.steps, d.steps - 1])
     residual = np.abs(hlast * Z[-1])
     order = np.argsort(residual, kind="stable")
     return theta[order], Z[:, order], residual[order]

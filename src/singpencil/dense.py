@@ -6,29 +6,15 @@ rank oracle is a direct full-pivoting Gaussian elimination so it stays an
 independent cross-check for the sparse factorization.
 """
 
-from dataclasses import dataclass
 from itertools import takewhile
 
 import numpy as np
 
 from .errors import ConvergenceError, DimensionMismatch, NonFiniteInput
 
-#: |theta| below this multiple of the operator scale is treated as an
+#: |theta| at most this multiple of the operator scale is treated as an
 #: eigenvalue at infinity of the underlying pencil.
 INF_THETA_RTOL = 1e-14
-
-
-@dataclass(frozen=True)
-class DenseEig:
-    """Eigenvalues with unit-norm right and left eigenvector columns.
-
-    ``eigenvalues[i]`` is ``inf`` when ``infinite[i]`` is set; column i of
-    ``right_vectors`` and of ``left_vectors`` belongs to ``eigenvalues[i]``.
-    """
-    eigenvalues: np.ndarray
-    right_vectors: np.ndarray
-    left_vectors: np.ndarray
-    infinite: np.ndarray
 
 
 def qr(M):
@@ -108,6 +94,17 @@ def hessenberg_eig(H):
     return theta[order], _unit_columns(Z[:, order])
 
 
+def _pencil_eigenvalues(theta, scale, sigma):
+    """Map eigenvalues ``theta`` of the inverted operator, whose size is
+    ``scale``, to ``(lam, infinite)``: ``infinite`` marks ``|theta| <=
+    INF_THETA_RTOL * scale``, and ``lam`` is ``inf`` there and
+    ``sigma + 1/theta`` elsewhere."""
+    infinite = np.abs(theta) <= INF_THETA_RTOL * scale
+    lam = np.full(theta.shape, np.inf, dtype=np.complex128)
+    lam[~infinite] = sigma + 1.0 / theta[~infinite]
+    return lam, infinite
+
+
 def small_generalized_eig(Ah, Bh, sigma=0.0):
     """Eigentriplets of the projected pencil ``Ah - lambda Bh``.
 
@@ -119,9 +116,10 @@ def small_generalized_eig(Ah, Bh, sigma=0.0):
     vector instead, as long as the numerical null space of
     ``Bh - theta Ah`` has room for it, so the left vectors of a semisimple
     ``theta`` span its left eigenspace.
-    Eigenvalues are reported as ``sigma + 1/theta``, with ``theta`` below
-    ``INF_THETA_RTOL`` times the operator scale flagged as infinite.
-    ``Ah`` must be comfortably invertible.
+    Returns ``(lam, X, Y, infinite)``: eigenvalues ``sigma + 1/theta``
+    (``inf`` where ``infinite``, see :func:`_pencil_eigenvalues`) with their
+    unit-norm right and left eigenvector columns.  ``Ah`` must be
+    comfortably invertible.
     """
     Ah = np.asarray(Ah, dtype=np.complex128)
     Bh = np.asarray(Bh, dtype=np.complex128)
@@ -139,17 +137,8 @@ def small_generalized_eig(Ah, Bh, sigma=0.0):
     col = -1 - np.minimum(_copy_index(theta), null_dim - 1)
     Y = U[np.arange(theta.size), :, col].T
 
-    scale = np.linalg.norm(T, 2)
-    infinite = np.abs(theta) <= INF_THETA_RTOL * scale
-    lam = np.empty_like(theta)
-    lam[infinite] = np.inf
-    lam[~infinite] = sigma + 1.0 / theta[~infinite]
-    return DenseEig(
-        eigenvalues=lam,
-        right_vectors=_unit_columns(Z),
-        left_vectors=Y,
-        infinite=infinite,
-    )
+    lam, infinite = _pencil_eigenvalues(theta, np.linalg.norm(T, 2), sigma)
+    return lam, _unit_columns(Z), Y, infinite
 
 
 def full_pivots(M):

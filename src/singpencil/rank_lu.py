@@ -257,32 +257,19 @@ def _factor_sparse(M, alpha, tau):
     n_final = n_cur
     wcols = n_final - m
 
-    # assemble L (unit lower triangular; trailing border columns are identity)
-    lr_all, lc_all, lv_all = [], [], []
-    for t in range(m):
-        if l_rows[t].size:
-            lr_all.append(pos_of_src[l_rows[t]])
-            lc_all.append(np.full(l_rows[t].size, t, dtype=np.int64))
-            lv_all.append(l_vals[t])
+    # assemble L (unit lower triangular; trailing border columns are
+    # identity) and U (border columns are alpha on the diagonal)
     diag = np.arange(n_final, dtype=np.int64)
-    lr_all.append(diag)
-    lc_all.append(diag)
-    lv_all.append(np.ones(n_final, dtype=np.complex128))
-    L = SparseMatrix.from_coo(n_final, n_final,
-                              np.concatenate(lr_all), np.concatenate(lc_all),
-                              np.concatenate(lv_all))
-
-    # assemble U (border columns are alpha on the diagonal, zero elsewhere)
-    ur_all = list(u_rows)
-    uc_all = [np.full(c.size, t, dtype=np.int64) for t, c in enumerate(u_rows)]
-    uv_all = list(u_vals)
-    if wcols:
-        ur_all.append(np.arange(m, n_final, dtype=np.int64))
-        uc_all.append(np.arange(m, n_final, dtype=np.int64))
-        uv_all.append(np.full(wcols, alpha, dtype=np.complex128))
-    U = SparseMatrix.from_coo(n_final, n_final,
-                              np.concatenate(ur_all), np.concatenate(uc_all),
-                              np.concatenate(uv_all))
+    L = SparseMatrix.from_coo(
+        n_final, n_final,
+        np.concatenate((pos_of_src[np.concatenate(l_rows)], diag)),
+        np.concatenate((np.repeat(np.arange(m), [r.size for r in l_rows]), diag)),
+        np.concatenate(l_vals + [np.ones(n_final, dtype=np.complex128)]))
+    U = SparseMatrix.from_coo(
+        n_final, n_final,
+        np.concatenate(u_rows + [diag[m:]]),
+        np.concatenate((np.repeat(np.arange(m), [r.size for r in u_rows]), diag[m:])),
+        np.concatenate(u_vals + [np.full(wcols, alpha, dtype=np.complex128)]))
     return src_of_pos[:n_final].copy(), L, U, breakdown_steps, breakdown_pivots
 
 

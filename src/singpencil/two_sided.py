@@ -222,10 +222,8 @@ def _triplets(cfg, lam, infinite, X, xb, res_x, Y=None, yb=None, res_y=None):
 
 def _one_sided_triplets(S, d, cfg):
     theta, Z, residual = _arnoldi.ritz_pairs(d)
-    theta_scale = np.linalg.norm(d.square_hess, 2)
-    infinite = np.abs(theta) < dense.INF_THETA_RTOL * max(theta_scale, 1e-300)
-    # Python's scalar complex division; numpy's rounds some quotients differently
-    lam = [cfg.sigma + 1.0 / complex(t) for t in np.where(infinite, 1.0, theta)]
+    lam, infinite = dense._pencil_eigenvalues(theta, np.linalg.norm(d.square_hess, 2),
+                                              cfg.sigma)
     X = dense._unit_columns(d.basis[:, :d.steps] @ Z)
     _purify_finite(S, X, infinite)
     return _triplets(cfg, lam, infinite, X, np.linalg.norm(X[S.leading:], axis=0), residual)
@@ -242,20 +240,18 @@ def _two_sided_triplets(S, Sa, fwd, adj, cfg):
     # shrink until the projected matrix is comfortably invertible
     while True:
         try:
-            eig = dense.small_generalized_eig(Ahat_full[:k, :k], Bhat_full[:k, :k],
-                                              sigma=cfg.sigma)
+            lam, X, Y, infinite = dense.small_generalized_eig(
+                Ahat_full[:k, :k], Bhat_full[:k, :k], sigma=cfg.sigma)
             break
         except ConvergenceError:
             k -= 1
             if k < 1:
                 raise SingPencilError("projected pencil is degenerate at every dimension")
 
-    infinite = np.array(eig.infinite, dtype=bool)
-    X = dense._unit_columns(Vk[:, :k] @ eig.right_vectors)
-    Y = dense._unit_columns(Wk[:, :k] @ eig.left_vectors)
+    X = dense._unit_columns(Vk[:, :k] @ X)
+    Y = dense._unit_columns(Wk[:, :k] @ Y)
     _purify_finite(S, X, infinite)
     _purify_finite(Sa, Y, infinite)  # y only where x stayed finite
-    lam = eig.eigenvalues
     return _triplets(cfg, lam, infinite,
                      X, np.linalg.norm(X[S.leading:], axis=0),
                      _residuals(spmv, bp, lam, infinite, X),

@@ -130,11 +130,27 @@ def test_restart_shrinks_by_one_and_preserves_relation(rng):
     assert r.steps == d.steps - 1
     assert r.basis.shape[1] == d.basis.shape[1] - 1
     assert relation_residual(r, S) <= 1e-9 * max(1.0, np.abs(r.hess).max())
-    sub = np.diag(r.hess, -1)
-    assert np.all(sub.imag == 0.0) and np.all(sub.real >= 0.0)
     # seminorm orthonormality survives the restart
     assert r.leading == d.leading
     assert np.abs(seminorm_gram(r) - np.eye(r.basis.shape[1])).max() <= 1e-10
+
+
+def test_exact_restart_moves_nullspace_direction_last():
+    """On a broken-down run whose invariant space holds a nullspace
+    direction of S, the step keeps the dimension, moves that direction into
+    the last basis column and zeroes the last row of hess; the leading
+    block then carries the nonzero eigenvalues exactly."""
+    S = DiagOperator([0.5, 0.25, 0.0])
+    d = arnoldi_run(S, np.ones(3), 5)
+    assert d.exact and d.breakdown == "lucky" and d.steps == 3
+    before = np.sort(np.linalg.eigvals(d.hess[:2, :2]).real)
+    assert np.abs(before - [0.25, 0.5]).max() > 1e-2  # the nullspace still mixes in
+    r = implicit_restart_infinity(d)
+    assert r.exact and r.breakdown == "lucky" and r.steps == 3
+    assert np.abs(r.hess[2]).max() <= 1e-15
+    np.testing.assert_allclose(np.abs(r.basis[:, 2]), [0.0, 0.0, 1.0], atol=1e-15)
+    np.testing.assert_allclose(np.sort(np.linalg.eigvals(r.hess[:2, :2]).real),
+                               [0.25, 0.5], atol=1e-14)
 
 
 def test_restart_filters_space_by_operator(rng):
@@ -207,6 +223,21 @@ def test_ritz_sorted_by_residual(rng):
     assert list(res) == sorted(res)
     # each residual is the recurrence estimate of its own Ritz vector
     np.testing.assert_array_equal(res, np.abs(d.hess[d.steps, d.steps - 1].real * Z[-1]))
+
+
+def test_ritz_residual_after_restart():
+    """On a restarted decomposition the residual is |h| |z_last|, which is
+    the seminorm of S x - theta x for the Ritz vector x = V z."""
+    tol = problems.gen_tolerance_pencil()
+    bp = regularize(tol.pencil, 0.0, 1e-12)
+    S = ShiftInvertOperator(bp, "forward")
+    r = implicit_restart_infinity(arnoldi_run(S, start_vector(S, 5), 6))
+    theta, Z, res = ritz_pairs(r)
+    np.testing.assert_allclose(res, np.abs(r.hess[r.steps, r.steps - 1]) * np.abs(Z[-1]),
+                               rtol=1e-15)
+    X = r.basis[:, :r.steps] @ Z
+    explicit = np.linalg.norm((S.apply(X) - theta * X)[:r.leading], axis=0)
+    np.testing.assert_allclose(res, explicit, rtol=0, atol=1e-12)
 
 
 # -- the compressed-operator equivalence ---------------------------------------------

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from singpencil.dense import (dense_rank, hessenberg_eig, qr,
-                              small_generalized_eig)
+from singpencil.dense import (INF_THETA_RTOL, _pencil_eigenvalues, dense_rank,
+                              hessenberg_eig, qr, small_generalized_eig)
 from singpencil.errors import ConvergenceError, DimensionMismatch, NonFiniteInput
 from singpencil import problems
 
@@ -138,21 +138,21 @@ def test_hessenberg_diag_unitary_similarity_invariance(rng):
 # -- small_generalized_eig --------------------------------------------------------
 
 def test_generalized_diagonal_case():
-    eig = small_generalized_eig(np.eye(2), np.diag([0.5, 0.25]), sigma=0.0)
-    np.testing.assert_allclose(eig.eigenvalues, [2, 4], atol=1e-14)
-    assert not eig.infinite.any()
+    lam, _, _, infinite = small_generalized_eig(np.eye(2), np.diag([0.5, 0.25]), sigma=0.0)
+    np.testing.assert_allclose(lam, [2, 4], atol=1e-14)
+    assert not infinite.any()
 
 
 def test_generalized_all_infinite():
-    eig = small_generalized_eig(np.diag([1.0, 1.0]), np.zeros((2, 2)))
-    assert eig.infinite.all()
-    assert np.isinf(eig.eigenvalues.real).all()
+    lam, _, _, infinite = small_generalized_eig(np.diag([1.0, 1.0]), np.zeros((2, 2)))
+    assert infinite.all()
+    assert np.isinf(lam.real).all()
 
 
 def test_generalized_det_sampling_oracle(rng):
     Ah = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     Bh = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    eig = small_generalized_eig(Ah, Bh)
+    lam, _, _, infinite = small_generalized_eig(Ah, Bh)
     # det(Ah - lam Bh) is degree <= 5; fit by sampling, then root-find
     pts = np.exp(2j * np.pi * np.arange(6) / 6) * 1.7
     dets = [np.linalg.det(Ah - z * Bh) for z in pts]
@@ -160,33 +160,45 @@ def test_generalized_det_sampling_oracle(rng):
     coeffs = np.linalg.solve(V, dets)
     coeffs = coeffs / coeffs[0]
     roots = durand_kerner(coeffs)
-    finite = eig.eigenvalues[~eig.infinite]
+    finite = lam[~infinite]
     assert match_sets(finite, roots) <= 1e-8
 
 
 def test_generalized_scaling_invariance(rng):
     Ah = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     Bh = rng.standard_normal((4, 4))
-    e1 = small_generalized_eig(Ah, Bh)
-    e2 = small_generalized_eig((1.7 - 0.3j) * Ah, (1.7 - 0.3j) * Bh)
-    assert match_sets(e1.eigenvalues, e2.eigenvalues) <= 1e-10 * max(
-        1.0, np.abs(e1.eigenvalues).max())
+    e1 = small_generalized_eig(Ah, Bh)[0]
+    e2 = small_generalized_eig((1.7 - 0.3j) * Ah, (1.7 - 0.3j) * Bh)[0]
+    assert match_sets(e1, e2) <= 1e-10 * max(1.0, np.abs(e1).max())
 
 
 def test_generalized_left_right_pairing(rng):
     Ah = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     Bh = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    eig = small_generalized_eig(Ah, Bh)
+    lams, X, Y, infinite = small_generalized_eig(Ah, Bh)
     for i in range(4):
-        if eig.infinite[i]:
+        if infinite[i]:
             continue
-        lam = eig.eigenvalues[i]
-        x = eig.right_vectors[:, i]
-        y = eig.left_vectors[:, i]
+        lam = lams[i]
+        x = X[:, i]
+        y = Y[:, i]
         assert np.linalg.norm(Ah @ x - lam * (Bh @ x)) <= 1e-8 * (
             np.linalg.norm(Ah) + abs(lam) * np.linalg.norm(Bh))
         assert np.linalg.norm(y.conj() @ Ah - lam * (y.conj() @ Bh)) <= 1e-8 * (
             np.linalg.norm(Ah) + abs(lam) * np.linalg.norm(Bh))
+
+
+def test_infinite_cut_is_inclusive():
+    """Both solve paths map Ritz values through one rule: |theta| at the
+    cut INF_THETA_RTOL * scale is infinite, above it finite."""
+    cut = INF_THETA_RTOL * 2.0
+    theta = np.array([0.0, cut, np.nextafter(cut, 1.0), 0.5j])
+    lam, infinite = _pencil_eigenvalues(theta, 2.0, 1.0)
+    np.testing.assert_array_equal(infinite, [True, True, False, False])
+    assert np.isinf(lam[:2]).all()
+    assert lam[3] == 1.0 - 2.0j
+    lam, infinite = _pencil_eigenvalues(np.zeros(2, dtype=complex), 0.0, 0.0)
+    assert infinite.all() and np.isinf(lam).all()
 
 
 def test_generalized_singular_ah_rejected():
@@ -200,15 +212,14 @@ def test_generalized_singular_ah_rejected():
     (np.eye(4), np.diag([2.0, 2, 2, 1])),  # a triple theta and a simple one
 ], ids=["nilpotent", "coincident", "triple"])
 def test_generalized_left_vectors_are_null_vectors(Ah, Bh):
-    eig = small_generalized_eig(Ah, Bh)
-    theta = np.zeros(eig.eigenvalues.size, dtype=complex)
-    theta[~eig.infinite] = 1.0 / eig.eigenvalues[~eig.infinite]
-    Y = eig.left_vectors
+    lam, _, Y, infinite = small_generalized_eig(Ah, Bh)
+    theta = np.zeros(lam.size, dtype=complex)
+    theta[~infinite] = 1.0 / lam[~infinite]
     assert np.isfinite(Y).all()
     np.testing.assert_allclose(np.linalg.norm(Y, axis=0), 1.0, atol=1e-14)
     for i in range(theta.size):
         assert np.linalg.norm(Y[:, i].conj() @ (Bh - theta[i] * Ah)) <= 1e-14
-    if eig.infinite.all():  # nilpotent Bh: its only left null vector is e_3
+    if infinite.all():  # nilpotent Bh: its only left null vector is e_3
         np.testing.assert_allclose(np.abs(Y[2]), 1.0, atol=1e-14)
     else:  # semisimple: the copies of a repeated theta span its left eigenspace
         assert np.linalg.matrix_rank(Y) == theta.size

@@ -1,8 +1,10 @@
-"""Every top-level import of a package module or a test file is used.
+"""Every top-level import of a package module or a test file is used, and
+every private module-level name of the package is referenced in it.
 
-No linter runs on this repository, so this test is the check that
-deleting code does not leave imports behind.  ``__init__.py`` is skipped:
-its imports are the package's exports.
+No linter runs on this repository, so these tests are the check that
+deleting code does not leave imports or private helpers behind.
+``__init__.py`` is skipped for imports: its imports are the package's
+exports.
 """
 
 import ast
@@ -13,6 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for p in (ROOT / "src" / "singpencil").glob("*.py") if p.name != "__init__.py")
 FILES += sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "singpencil").glob("*.py"))
 
 
 def _unused_imports(tree):
@@ -30,3 +33,34 @@ def _unused_imports(tree):
 def test_no_unused_top_level_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+def _private_definitions(tree):
+    """Module-level functions, classes and assigned names that start with
+    one underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+
+
+def _references(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_no_unreferenced_private_definitions():
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in PACKAGE}
+    used = {name for tree in trees.values() for name in _references(tree)}
+    unreferenced = sorted(f"{p.name}: {name}" for p, tree in trees.items()
+                          for name in _private_definitions(tree)
+                          if name.startswith("_") and not name.startswith("__")
+                          and name not in used)
+    assert unreferenced == []
