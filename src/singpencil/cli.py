@@ -42,15 +42,20 @@ def _parse_complex(text):
     raise ValueError(f"cannot parse complex value {text!r} (want re or re,im)")
 
 
+def _given(**values):
+    """The keyword arguments whose option was given, so that every other
+    value comes from the callee's own default."""
+    return {k: v for k, v in values.items() if v is not None}
+
+
 GENERATORS = {
     "kronecker_toy": lambda a: problems.gen_kronecker_toy(),
     "tolerance": lambda a: problems.gen_tolerance_pencil(
-        perturbed=a.perturbed, **({} if a.gen_seed is None else {"seed": a.gen_seed})),
+        perturbed=a.perturbed, **_given(seed=a.gen_seed)),
     "quadratic": lambda a: problems.gen_quadratic_companion(
-        n=500 if a.n is None else a.n, beta0=a.beta0, beta1=a.beta1, beta2=a.beta2,
-        **({} if a.gen_seed is None else {"seed": a.gen_seed})),
+        **_given(n=a.n, beta0=a.beta0, beta1=a.beta1, beta2=a.beta2, seed=a.gen_seed)),
     "rectangular": lambda a: problems.gen_rectangular(
-        n=10000 if a.n is None else a.n, betaA=a.beta_a, betaB=a.beta_b),
+        **_given(n=a.n, betaA=a.beta_a, betaB=a.beta_b)),
 }
 
 
@@ -59,14 +64,11 @@ def _add_problem_args(p):
     p.add_argument("--b", dest="b_path", metavar="MTX", help="Matrix Market file for B")
     p.add_argument("--generate", choices=sorted(GENERATORS), help="built-in problem generator")
     p.add_argument("--n", type=int, help="generator size parameter")
-    p.add_argument("--gen-seed", type=int, default=None,
+    p.add_argument("--gen-seed", type=int,
                    help="generator seed (defaults to the generator's reference seed)")
     p.add_argument("--perturbed", action="store_true", help="tolerance generator: perturbed variant")
-    p.add_argument("--beta0", type=float, default=-1.0)
-    p.add_argument("--beta1", type=float, default=1.0)
-    p.add_argument("--beta2", type=float, default=0.0)
-    p.add_argument("--beta-a", type=float, default=1.0)
-    p.add_argument("--beta-b", type=float, default=1.0)
+    for name in ("--beta0", "--beta1", "--beta2", "--beta-a", "--beta-b"):
+        p.add_argument(name, type=float, help="generator coefficient (defaults to the generator's)")
 
 
 def _generate(args, parser):
@@ -112,9 +114,11 @@ def _render_csv(d):
 
 
 def _config(parser, shift, **kwargs):
-    """SolverConfig from option values; a value it rejects is a usage error."""
+    """SolverConfig from the given option values; a value it rejects is a
+    usage error."""
     try:
-        return SolverConfig(sigma=_parse_complex(shift), **kwargs)
+        sigma = None if shift is None else _parse_complex(shift)
+        return SolverConfig(**_given(sigma=sigma, **kwargs))
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -216,20 +220,21 @@ def build_parser():
 
     ps = sub.add_parser("solve", help="classify eigenvalues near a shift")
     _add_problem_args(ps)
-    ps.add_argument("--shift", default="0", help="shift sigma as re or re,im (default 0)")
-    ps.add_argument("--tau", type=float, default=1e-12, help="pivot tolerance (default 1e-12)")
-    ps.add_argument("--steps", type=int, default=20, help="Arnoldi steps (default 20)")
-    ps.add_argument("--restarts", type=int, default=1, help="implicit restarts (default 1)")
-    ps.add_argument("--threshold", type=float, default=1e-6,
-                    help="border-norm classification threshold (default 1e-6)")
+    ps.add_argument("--shift", help=f"shift sigma as re or re,im (default {SolverConfig.sigma:g})")
+    ps.add_argument("--tau", type=float, help=f"pivot tolerance (default {SolverConfig.tau:g})")
+    ps.add_argument("--steps", type=int, help=f"Arnoldi steps (default {SolverConfig.krylov_steps})")
+    ps.add_argument("--restarts", type=int,
+                    help=f"implicit restarts (default {SolverConfig.implicit_restarts})")
+    ps.add_argument("--threshold", type=float, help="border-norm classification threshold "
+                                                    f"(default {SolverConfig.classify_threshold:g})")
     ps.add_argument("--format", choices=["text", "json", "csv"], default="text")
     ps.add_argument("--out", help="write the table here (plus <out>.manifest.json)")
-    ps.add_argument("--seed", type=int, default=42, help="start-vector seed (default 42)")
+    ps.add_argument("--seed", type=int, help=f"start-vector seed (default {SolverConfig.seed})")
     ps.set_defaults(func=cmd_solve)
 
     pr = sub.add_parser("rank", help="tau sweep: border dimensions per tolerance")
     _add_problem_args(pr)
-    pr.add_argument("--shift", default="0", help="shift sigma as re or re,im")
+    pr.add_argument("--shift", help=f"shift sigma as re or re,im (default {SolverConfig.sigma:g})")
     pr.add_argument("--taus", required=True, help="comma-separated tolerances")
     pr.set_defaults(func=cmd_rank)
 

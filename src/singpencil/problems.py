@@ -174,10 +174,6 @@ def gen_quadratic_companion(n=500, beta0=-1.0, beta1=1.0, beta2=0.0, seed=1):
 
 # -- rectangular full-column-rank problem -------------------------------------
 
-def _banded_cols(n, j, width=4):
-    return np.arange(j, min(j + width, n), dtype=np.int64)
-
-
 def gen_rectangular(n=10000, betaA=1.0, betaB=1.0):
     """Rectangular n x (n-2) pencil with a single true eigenvalue
     ``betaA / betaB``.
@@ -193,23 +189,18 @@ def gen_rectangular(n=10000, betaA=1.0, betaB=1.0):
     if betaB == 0:
         raise ValueError("betaB must be nonzero (true eigenvalue would be at infinity)")
     m = n - 2
-    rows_a, cols_a, vals_a = [], [], []
-    rows_b, cols_b, vals_b = [], [], []
-    r0 = _banded_cols(n, 0)
-    rows_a.append(r0); cols_a.append(np.zeros_like(r0)); vals_a.append(np.full(r0.size, betaA))
-    rows_b.append(r0); cols_b.append(np.zeros_like(r0)); vals_b.append(np.full(r0.size, betaB))
-    for j in range(1, m):
-        # column j of [ . | R_A] is 0.1 * P[:, j]; of [ . | R_B] is 0.01 * P[:, j+1]
-        ra = _banded_cols(n, j)
-        rows_a.append(ra); cols_a.append(np.full(ra.size, j, dtype=np.int64))
-        vals_a.append(np.full(ra.size, 0.1))
-        rb = _banded_cols(n, j + 1)
-        rows_b.append(rb); cols_b.append(np.full(rb.size, j, dtype=np.int64))
-        vals_b.append(np.full(rb.size, 0.01))
-    A = SparseMatrix.from_coo(n, m, np.concatenate(rows_a), np.concatenate(cols_a),
-                              np.concatenate(vals_a).astype(np.complex128))
-    B = SparseMatrix.from_coo(n, m, np.concatenate(rows_b), np.concatenate(cols_b),
-                              np.concatenate(vals_b).astype(np.complex128))
+    cols = np.repeat(np.arange(m, dtype=np.int64), 4)
+    band = cols + np.tile(np.arange(4, dtype=np.int64), m)  # P[:, j]'s rows in column j
+    first = cols == 0
+
+    def banded(rows, beta, value):
+        keep = rows < n
+        return SparseMatrix.from_coo(n, m, rows[keep], cols[keep],
+                                     np.where(first, beta, value)[keep])
+
+    # column j > 0 of [. | R_A] is 0.1 * P[:, j]; of [. | R_B] is 0.01 * P[:, j+1]
+    A = banded(band, betaA, 0.1)
+    B = banded(band + ~first, betaB, 0.01)
     return GeneratedProblem(
         pencil=Pencil(A, B),
         true_eigenvalues=(complex(betaA / betaB),),

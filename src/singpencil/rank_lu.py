@@ -11,8 +11,10 @@ unit border columns W so the bordered matrix
     [[M, W],
      [V*, 0]]
 
-is square and nonsingular, with ``P @ bordered == L @ U`` exactly (up to
-rounding).  The number of breakdowns reveals the numerical rank of M.
+is square and nonsingular, with ``P @ bordered == (I + L) @ (D + U)``
+exactly (up to rounding): L strictly lower, U strictly upper and D the
+diagonal of pivots.  The number of breakdowns reveals the numerical rank
+of M.
 
 When the factor fills in, the sparse loop gives up and the factorization
 restarts from column 0 in a dense blocked right-looking kernel with the
@@ -46,11 +48,11 @@ _DENSE_MAX_BYTES = 256 << 20
 class RankLU:
     """Factorization record of the bordered matrix.
 
-    ``P @ [[M, W], [V*, 0]] == L @ U`` with L unit lower triangular and U
-    upper triangular with nonzero diagonal (checked on construction, so
-    the solves need not).  ``perm`` stores P: row k of ``P @ X`` is row
-    ``perm[k]`` of X.  ``V`` has one column
-    ``alpha * e_i`` per breakdown step i (0-based column indices of M);
+    ``P @ [[M, W], [V*, 0]] == (I + L) @ (diag(pivots) + U)`` with L
+    strictly lower triangular, U strictly upper triangular and no zero
+    pivot (checked on construction, so the solves need not).  ``perm``
+    stores P: row k of ``P @ X`` is row ``perm[k]`` of X.  ``V`` has one
+    column ``alpha * e_i`` per breakdown step i (0-based column indices of M);
     ``W`` has one column ``alpha * e_r`` per row r of M that never became a
     pivot.  ``detected_rank = ncols - len(breakdown_steps)``.  ``path`` is
     ``"sparse"`` or ``"dense"``: the kernel that produced the factor.
@@ -59,6 +61,7 @@ class RankLU:
     perm: np.ndarray
     L: SparseMatrix
     U: SparseMatrix
+    pivots: np.ndarray
     V: SparseMatrix
     W: SparseMatrix
     alpha: float
@@ -73,15 +76,14 @@ class RankLU:
     def __post_init__(self):
         if self.path not in ("sparse", "dense"):
             raise FactorizationError(f"unknown factor path {self.path!r}")
-        # the solves divide by the last stored entry of each U column, so
-        # it must be the diagonal (stored entries are never exact zeros)
-        end = self.U.col_ptr[1:]
-        has_diag = end > self.U.col_ptr[:-1]
-        cols = np.flatnonzero(has_diag)
-        has_diag[cols] = self.U.row_idx[end[cols] - 1] == cols
-        bad = np.flatnonzero(~has_diag)
+        bad = np.flatnonzero(self.pivots == 0.0)
         if bad.size:
-            raise FactorizationError(f"U has a zero diagonal entry at column {bad[0]}")
+            raise FactorizationError(f"zero pivot at column {bad[0]}")
+        for name, T, strict in (("L", self.L, np.greater), ("U", self.U, np.less)):
+            rows, cols, _ = T.coo()
+            bad = cols[~strict(rows, cols)]
+            if bad.size:
+                raise FactorizationError(f"{name} is not strictly triangular at column {bad[0]}")
 
     @property
     def n_final(self):
@@ -129,19 +131,19 @@ def factor(M, tau):
     if out is None:
         out = _factor_dense(M, alpha, tau)
         path = "dense"
-    perm, L, U, breakdown_steps, breakdown_pivots = out
+    perm, L, U, pivots, breakdown_steps, breakdown_pivots = out
 
     ell = len(breakdown_steps)
     wcols = len(perm) - m
     steps = np.array(breakdown_steps, dtype=np.int64)
     V = SparseMatrix.from_coo(m, ell, steps, np.arange(ell, dtype=np.int64),
                               np.full(ell, alpha, dtype=np.complex128))
-    W = SparseMatrix.from_coo(n, wcols, perm[m:], np.arange(wcols, dtype=np.int64),
-                              np.full(wcols, alpha, dtype=np.complex128))
+    border = np.full(wcols, alpha, dtype=np.complex128)  # W's entries and its columns' pivots
+    W = SparseMatrix.from_coo(n, wcols, perm[m:], np.arange(wcols, dtype=np.int64), border)
 
     return RankLU(
         perm=perm,
-        L=L, U=U, V=V, W=W,
+        L=L, U=U, pivots=np.concatenate((pivots, border)), V=V, W=W,
         alpha=float(alpha), tau=float(tau),
         breakdown_steps=steps,
         breakdown_pivots=np.array(breakdown_pivots, dtype=np.float64),
@@ -152,8 +154,9 @@ def factor(M, tau):
 
 
 def _factor_sparse(M, alpha, tau):
-    """Left-looking sparse kernel; returns ``(perm, L, U, breakdown steps,
-    breakdown pivots)``, or None once the fill calls for the dense kernel."""
+    """Left-looking sparse kernel; returns ``(perm, L, U, pivots, breakdown
+    steps, breakdown pivots)`` with the pivots of M's m columns, or None once
+    the fill calls for the dense kernel."""
     n, m = M.nrows, M.ncols
     threshold = tau * alpha
     dense_fits = (n + m + _PANEL) * m * 16 <= _DENSE_MAX_BYTES
@@ -165,7 +168,7 @@ def _factor_sparse(M, alpha, tau):
     src_of_pos = np.arange(cap, dtype=np.int64)
     l_rows, l_vals = [], []                       # per step, source-row indexed
     u_rows, u_vals = [], []                       # per column, position indexed
-    breakdown_steps, breakdown_pivots = [], []
+    pivots, breakdown_steps, breakdown_pivots = [], [], []
     n_cur = n
     nnz_lu = 0
 
@@ -233,8 +236,7 @@ def _factor_sparse(M, alpha, tau):
         pinv[pivot_src] = t
 
         piv = work[pivot_src]
-        urows_t.append(t)
-        uvals_t.append(piv)
+        pivots.append(piv)
         u_rows.append(np.array(urows_t, dtype=np.int64))
         u_vals.append(np.array(uvals_t, dtype=np.complex128))
 
@@ -250,27 +252,17 @@ def _factor_sparse(M, alpha, tau):
         work[ta] = 0.0
         touched[ta] = False
 
-        nnz_lu += len(urows_t) + len(lr)
+        nnz_lu += len(urows_t) + 1 + len(lr)  # the pivot counts
         if dense_fits and t >= _DENSE_MIN_COL and nnz_lu > _DENSE_FILL * (t + 1) * n_cur:
             return None
 
-    n_final = n_cur
-    wcols = n_final - m
+    def by_column(rows, vals):
+        cols = np.repeat(np.arange(m), [r.size for r in vals])
+        return SparseMatrix.from_coo(n_cur, n_cur, rows, cols, np.concatenate(vals))
 
-    # assemble L (unit lower triangular; trailing border columns are
-    # identity) and U (border columns are alpha on the diagonal)
-    diag = np.arange(n_final, dtype=np.int64)
-    L = SparseMatrix.from_coo(
-        n_final, n_final,
-        np.concatenate((pos_of_src[np.concatenate(l_rows)], diag)),
-        np.concatenate((np.repeat(np.arange(m), [r.size for r in l_rows]), diag)),
-        np.concatenate(l_vals + [np.ones(n_final, dtype=np.complex128)]))
-    U = SparseMatrix.from_coo(
-        n_final, n_final,
-        np.concatenate(u_rows + [diag[m:]]),
-        np.concatenate((np.repeat(np.arange(m), [r.size for r in u_rows]), diag[m:])),
-        np.concatenate(u_vals + [np.full(wcols, alpha, dtype=np.complex128)]))
-    return src_of_pos[:n_final].copy(), L, U, breakdown_steps, breakdown_pivots
+    L = by_column(pos_of_src[np.concatenate(l_rows)], l_vals)
+    U = by_column(np.concatenate(u_rows), u_vals)
+    return src_of_pos[:n_cur].copy(), L, U, pivots, breakdown_steps, breakdown_pivots
 
 
 def _factor_dense(M, alpha, tau):
@@ -323,46 +315,50 @@ def _factor_dense(M, alpha, tau):
     pos = np.arange(n_cur)[:, None]
     col = np.arange(m)
     nonzero = A != 0.0
-    U = _csc_from_mask(A, nonzero & (pos <= col), alpha)
-    A[col, col] = 1.0  # L is unit lower triangular
-    L = _csc_from_mask(A, nonzero & (pos >= col), 1.0)
-    return src_of_pos[:n_cur].copy(), L, U, breakdown_steps, breakdown_pivots
+    L = _csc_from_mask(A, nonzero & (pos > col))
+    U = _csc_from_mask(A, nonzero & (pos < col))
+    return src_of_pos[:n_cur].copy(), L, U, A[col, col], breakdown_steps, breakdown_pivots
 
 
-def _csc_from_mask(A, mask, border):
-    """Square CSC matrix holding the entries of the ``n_final x m`` array
-    ``A`` where ``mask`` is set, and ``border * I`` in the last
-    ``n_final - m`` columns."""
-    nf, m = A.shape
+def _csc_from_mask(A, mask):
+    """Square ``n_final x n_final`` CSC matrix holding the entries of the
+    ``n_final x m`` array ``A`` where ``mask`` is set."""
+    nf = len(A)
     cols, rows = np.nonzero(mask.T)  # column-major order, as CSC stores it
-    counts = np.concatenate((np.count_nonzero(mask, axis=0), np.ones(nf - m, dtype=np.int64)))
     col_ptr = np.zeros(nf + 1, dtype=np.int64)
-    np.cumsum(counts, out=col_ptr[1:])
-    return SparseMatrix(nf, nf, col_ptr, np.concatenate((rows, np.arange(m, nf))),
-                        np.concatenate((A[rows, cols], np.full(nf - m, border, dtype=np.complex128))))
+    np.cumsum(np.bincount(cols, minlength=nf), out=col_ptr[1:])
+    return SparseMatrix(nf, nf, col_ptr, rows, A[rows, cols])
+
+
+def _filled(T):
+    """The columns of T that hold an entry, in increasing order."""
+    return np.flatnonzero(T.col_ptr[1:] > T.col_ptr[:-1]).tolist()
 
 
 def solve(F, b):
-    """Solve ``[[M, W], [V*, 0]] x = b`` through the stored P, L, U, for a
-    vector b or an ``(n_final, k)`` block of right-hand sides."""
+    """Solve ``[[M, W], [V*, 0]] x = b`` through the stored P, L, U and
+    pivots, for a vector b or an ``(n_final, k)`` block of right-hand sides."""
     b = operand(b, F.n_final, "solve")
     # a block broadcasts each column update of the factor across its columns
     shape, nonzero = ((-1,), bool) if b.ndim == 1 else ((-1, 1), np.count_nonzero)
     y = b[F.perm]  # apply P
     ptr, rows, vals = F.L.col_ptr.tolist(), F.L.row_idx, F.L.values.reshape(shape)
-    for j in range(F.n_final):
+    for j in _filled(F.L):
         yj = y[j]
         if nonzero(yj):
-            s, e = ptr[j] + 1, ptr[j + 1]  # below the unit diagonal
-            if e > s:
-                y[rows[s:e]] -= vals[s:e] * yj
+            s, e = ptr[j], ptr[j + 1]
+            y[rows[s:e]] -= vals[s:e] * yj
+    piv = F.pivots.reshape(shape)
     ptr, rows, vals = F.U.col_ptr.tolist(), F.U.row_idx, F.U.values.reshape(shape)
-    for j in range(F.n_final - 1, -1, -1):
-        s, e = ptr[j], ptr[j + 1] - 1  # the diagonal is the last entry
-        xj = y[j] / vals[e]
+    for j in reversed(_filled(F.U)):
+        xj = y[j] / piv[j]
         y[j] = xj
-        if e > s and nonzero(xj):
+        if nonzero(xj):
+            s, e = ptr[j], ptr[j + 1]
             y[rows[s:e]] -= vals[s:e] * xj
+    # the rows of U's empty columns: every update has reached them by now
+    empty = F.U.col_ptr[1:] == F.U.col_ptr[:-1]
+    y[empty] /= piv[empty]
     return y
 
 
@@ -370,19 +366,17 @@ def solve_adjoint(F, b):
     """Solve the conjugate-transposed bordered system ``[[M, W], [V*, 0]]* y = b``
     for a vector b or an ``(n_final, k)`` block of right-hand sides."""
     b = operand(b, F.n_final, "solve_adjoint")
-    z = np.empty_like(b)
+    piv = np.conj(F.pivots)
+    # the answer in the rows of U's empty columns, which nothing updates
+    z = b / piv.reshape((-1,) if b.ndim == 1 else (-1, 1))
     ptr, rows, vals = F.U.col_ptr.tolist(), F.U.row_idx, F.U.values
-    for j in range(F.n_final):  # U* is lower triangular: forward substitution
-        s, e = ptr[j], ptr[j + 1] - 1
-        zj = b[j]
-        if e > s:
-            zj = zj - np.conj(vals[s:e]) @ z[rows[s:e]]
-        z[j] = zj / np.conj(vals[e])
+    for j in _filled(F.U):  # U* is lower triangular: forward substitution
+        s, e = ptr[j], ptr[j + 1]
+        z[j] = (b[j] - np.conj(vals[s:e]) @ z[rows[s:e]]) / piv[j]
     ptr, rows, vals = F.L.col_ptr.tolist(), F.L.row_idx, F.L.values
-    for j in range(F.n_final - 1, -1, -1):  # L* is upper triangular: back substitution
-        s, e = ptr[j] + 1, ptr[j + 1]
-        if e > s:
-            z[j] -= np.conj(vals[s:e]) @ z[rows[s:e]]
+    for j in reversed(_filled(F.L)):  # L* is upper triangular: back substitution
+        s, e = ptr[j], ptr[j + 1]
+        z[j] -= np.conj(vals[s:e]) @ z[rows[s:e]]
     x = np.empty_like(z)
     x[F.perm] = z  # apply P*
     return x

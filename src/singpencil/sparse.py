@@ -190,7 +190,11 @@ def norm_estimate(M):
     return float(sums.max())
 
 
-def two_norm_estimate(M, iters=40):
+#: Power iterations of :func:`two_norm_estimate`
+_NORM_ITERS = 40
+
+
+def two_norm_estimate(M):
     """Deterministic randomized two-norm estimate (power iteration on M*M).
 
     Fixed seed and iteration count keep runs reproducible; the estimate is
@@ -205,7 +209,7 @@ def two_norm_estimate(M, iters=40):
     x = rng.standard_normal(M.ncols)
     x /= np.linalg.norm(x)
     est = 0.0
-    for _ in range(iters):
+    for _ in range(_NORM_ITERS):
         y = spmv(M, x)
         ny = np.linalg.norm(y)
         if ny == 0.0:

@@ -1,5 +1,6 @@
 """Every top-level import of a package module or a test file is used, and
-every private module-level name of the package is referenced in it.
+every private module-level name of the package is referenced in it; and
+a solve loads no scipy module.
 
 No linter runs on this repository, so these tests are the check that
 deleting code does not leave imports or private helpers behind.
@@ -8,6 +9,9 @@ exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,3 +68,20 @@ def test_no_unreferenced_private_definitions():
                           if name.startswith("_") and not name.startswith("__")
                           and name not in used)
     assert unreferenced == []
+
+
+def test_solve_loads_no_scipy():
+    """``import singpencil`` and a solve of the toy pencil, in a fresh
+    interpreter, leave no ``scipy`` module loaded: importing
+    ``scipy.sparse`` alone raises peak RSS by about 20 MB (28.5 -> 49.1
+    MB measured), far over the benchmark's 10% ``peak_rss_mb`` bound."""
+    code = ("import sys\n"
+            "import singpencil as sp\n"
+            "from singpencil import problems\n"
+            "sp.solve_singular(problems.gen_kronecker_toy().pencil, sp.SolverConfig(krylov_steps=5))\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    assert proc.stdout.strip() == "[]"

@@ -116,6 +116,21 @@ def test_rectangular_truth_structure():
         problems.gen_rectangular(n=4)
 
 
+def test_rectangular_matches_dense_definition():
+    """``A = P [betaA e1 | R_A]`` and ``B = P [betaB e1 | R_B]`` built densely
+    from the docstring: P has ones on the main diagonal and the three
+    subdiagonals below it, R_A 0.1 on its first subdiagonal, R_B 0.01 on
+    its second."""
+    n, beta_a, beta_b = 12, 2.0, 0.5
+    rect = problems.gen_rectangular(n=n, betaA=beta_a, betaB=beta_b)
+    P = sum(np.eye(n, k=-d) for d in range(4))
+    e1 = np.eye(n, 1)
+    RA = 0.1 * np.eye(n, n - 3, k=-1)
+    RB = 0.01 * np.eye(n, n - 3, k=-2)
+    np.testing.assert_array_equal(rect.pencil.A.to_dense(), P @ np.hstack((beta_a * e1, RA)))
+    np.testing.assert_array_equal(rect.pencil.B.to_dense(), P @ np.hstack((beta_b * e1, RB)))
+
+
 # -- dense sweep oracle -------------------------------------------------------------------
 
 def test_oracle_toy_grid():

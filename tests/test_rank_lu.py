@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from conftest import dense_bordered, permutation_matrix, random_rank_matrix
 
 def reconstruction_residual(F, M):
     lhs = permutation_matrix(F.perm) @ dense_bordered(M, F.V, F.W)
-    rhs = F.L.to_dense() @ F.U.to_dense()
+    rhs = (np.eye(F.n_final) + F.L.to_dense()) @ (np.diag(F.pivots) + F.U.to_dense())
     return np.abs(lhs - rhs).max()
 
 
@@ -23,15 +24,14 @@ def check_factorization(F, M):
     assert nf == F.nrows + F.border_rows
     assert F.border_cols == F.nrows - F.detected_rank
     assert F.detected_rank == F.ncols - F.border_rows
-    # L unit lower triangular with bounded entries
+    # L strictly lower triangular with bounded entries
     Ld = F.L.to_dense()
-    np.testing.assert_array_equal(np.diag(Ld), np.ones(nf))
-    assert np.all(np.triu(Ld, 1) == 0.0)
+    assert np.all(np.triu(Ld) == 0.0)
     assert np.abs(Ld).max() <= 1 + F.tau + 1e-12
-    # U upper triangular, diagonal regular by construction
-    Ud = F.U.to_dense()
-    assert np.all(np.tril(Ud, -1) == 0.0)
-    d = np.abs(np.diag(Ud))
+    # U strictly upper triangular, pivots regular by construction
+    assert np.all(np.tril(F.U.to_dense()) == 0.0)
+    assert F.pivots.shape == (nf,)
+    d = np.abs(F.pivots)
     assert np.all((d >= F.tau * F.alpha - 1e-300) | np.isclose(d, F.alpha))
     # borders: one entry of value alpha per column
     for B, rows in ((F.V, F.breakdown_steps), (F.W, None)):
@@ -51,8 +51,8 @@ def test_factor_identity():
     F = rank_lu.factor(SparseMatrix.identity(5), 1e-12)
     assert F.border_rows == 0 and F.border_cols == 0
     assert F.detected_rank == 5
-    np.testing.assert_array_equal(F.L.to_dense(), np.eye(5))
-    np.testing.assert_array_equal(F.U.to_dense(), np.eye(5))
+    assert F.L.nnz == 0 and F.U.nnz == 0
+    np.testing.assert_array_equal(F.pivots, np.ones(5))
 
 
 def test_factor_kronecker_toy_matches_published_border():
@@ -137,9 +137,18 @@ def test_factor_wide_as_given(rng, n, m, k):
 
 def test_zero_u_diagonal_rejected():
     F = rank_lu.factor(SparseMatrix.identity(3), 1e-12)
-    U = SparseMatrix.from_dense(np.diag([1.0, 0.0, 1.0]))
     with pytest.raises(FactorizationError, match="column 1"):
-        replace(F, U=U)
+        replace(F, pivots=np.array([1.0, 0.0, 1.0], dtype=complex))
+
+
+@pytest.mark.parametrize("name, row, col", [("L", 1, 1), ("U", 2, 1)])
+def test_triangle_entry_on_the_wrong_side_rejected(name, row, col):
+    """An L entry on the diagonal or a U entry below it would break the
+    triangular solves, so the record refuses it."""
+    F = rank_lu.factor(SparseMatrix.identity(3), 1e-12)
+    T = SparseMatrix.from_coo(3, 3, [row], [col], [0.5])
+    with pytest.raises(FactorizationError, match=f"{name} is not strictly triangular at column {col}"):
+        replace(F, **{name: T})
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
@@ -196,6 +205,54 @@ def test_dense_kernel_matches_sparse_kernel(monkeypatch, M, tau):
     assert D.detected_rank == S.detected_rank
     for F in (S, D):
         check_factorization(F, M)
+
+
+#: (sparse, dense) digests of :func:`_factor_digest` per kernel case, from
+#: the earlier layout that kept L's unit diagonal in L and the pivots in U:
+#: its U diagonal hashed as ``pivots`` and its off-diagonal entries as L
+#: and U.  Recorded on x86-64 with numpy 2 and OpenBLAS 0.3; a BLAS that
+#: rounds the dense kernel's products differently changes the dense ones.
+_FACTOR_DIGESTS = {
+    "toy-sigma0.0": ("c7b932fac6c31645", "c7b932fac6c31645"),
+    "toy-sigma0.5": ("bc8f8bc1f6ee51c3", "bc8f8bc1f6ee51c3"),
+    "toy-sigma2.0": ("1f894c326fe6e155", "1f894c326fe6e155"),
+    "order10-clean-tau1e-16": ("170fcb777c9d7a87", "170fcb777c9d7a87"),
+    "order10-clean-tau2.2e-15": ("170fcb777c9d7a87", "170fcb777c9d7a87"),
+    "order10-clean-tau1e-12": ("170fcb777c9d7a87", "170fcb777c9d7a87"),
+    "order10-clean-tau1e-10": ("170fcb777c9d7a87", "170fcb777c9d7a87"),
+    "order10-clean-tau1e-05": ("170fcb777c9d7a87", "170fcb777c9d7a87"),
+    "order10-clean-tau0.2": ("059ffa3f7c21746d", "059ffa3f7c21746d"),
+    "order10-perturbed-tau1e-16": ("69a9aaa2f210d788", "69a9aaa2f210d788"),
+    "order10-perturbed-tau2.2e-15": ("879ed9724b25a969", "879ed9724b25a969"),
+    "order10-perturbed-tau1e-12": ("879ed9724b25a969", "879ed9724b25a969"),
+    "order10-perturbed-tau1e-10": ("879ed9724b25a969", "879ed9724b25a969"),
+    "order10-perturbed-tau1e-05": ("1daee6a72a5fdfd9", "1daee6a72a5fdfd9"),
+    "order10-perturbed-tau0.2": ("4de5d1dbafec9be6", "4de5d1dbafec9be6"),
+    "quadratic40": ("d216d96aa3c0e948", "3ea06b7c0aec8962"),
+    "quadratic250": ("a4dd46026042e384", "c71888f4231b2fb6"),
+    "random70x70-rank50": ("86723fb3309c8480", "ba4a0a3514027198"),
+    "random90x60-rank40": ("91914d88dca43850", "91914d88dca43850"),
+    "random40x200-rank30": ("5c95c1a561b79d02", "84fe544b13597cba"),
+}
+
+
+def _factor_digest(F):
+    """Short SHA-256 of the pivots and the (row, column, value) triplets of
+    L and U, in storage order."""
+    h = hashlib.sha256()
+    for a in (F.pivots, *F.L.coo(), *F.U.coo()):
+        h.update(a.tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("M, tau", list(_kernel_cases()))
+def test_kernel_factor_values_pinned(monkeypatch, request, M, tau):
+    """Keeping the pivots apart from L and U moved no value: both kernels
+    give, bit for bit, the pivots and off-diagonal entries the earlier
+    layout held."""
+    got = tuple(_factor_digest(_factor_with(monkeypatch, kernel, M, tau))
+                for kernel in ("sparse", "dense"))
+    assert got == _FACTOR_DIGESTS[request.node.callspec.id]
 
 
 def test_dense_kernel_grows_its_working_array(monkeypatch):
@@ -309,7 +366,7 @@ def test_solve_dimension_error():
 
 def test_reconstruction_sampled_columns_large_sparse():
     """Column-sampled reconstruction check at a scale that cannot be
-    densified: P @ bordered column == L @ (U column)."""
+    densified: P @ bordered column == (I + L) @ (U column + pivot)."""
     rect = problems.gen_rectangular(n=2000)
     M = add_scaled(rect.pencil.A, -0.9, rect.pencil.B)
     F = rank_lu.factor(M, 1e-12)
@@ -332,5 +389,6 @@ def test_reconstruction_sampled_columns_large_sparse():
         urows, uvals = F.U.column(c)
         ucol = np.zeros(nf, dtype=complex)
         ucol[urows] = uvals
-        rhs = spmv(F.L, ucol)
+        ucol[c] = F.pivots[c]
+        rhs = ucol + spmv(F.L, ucol)
         assert np.abs(permuted - rhs).max() <= 1e-12 * F.alpha
