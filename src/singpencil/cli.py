@@ -84,8 +84,11 @@ def _load_problem(args, parser):
         parser.error("--generate conflicts with --a/--b")
     if args.generate:
         gen = _generate(args, parser)
-        return gen.pencil, {"generator": args.generate, "n": args.n,
-                            "gen_seed": args.gen_seed, "perturbed": args.perturbed}
+        # the options given, and the description states the values resolved
+        given = _given(n=args.n, gen_seed=args.gen_seed, beta0=args.beta0, beta1=args.beta1,
+                       beta2=args.beta2, beta_a=args.beta_a, beta_b=args.beta_b)
+        return gen.pencil, {"generator": args.generate, "description": gen.description,
+                            "perturbed": args.perturbed, **given}
     if not (args.a_path and args.b_path):
         parser.error("need --a and --b, or --generate")
     A = read_matrix_market(args.a_path)

@@ -6,8 +6,6 @@ rank oracle is a direct full-pivoting Gaussian elimination so it stays an
 independent cross-check for the sparse factorization.
 """
 
-from itertools import takewhile
-
 import numpy as np
 
 from .errors import ConvergenceError, DimensionMismatch, NonFiniteInput
@@ -37,9 +35,7 @@ def qr(M):
 def _sort_keys(values):
     # keys are quantized so rounding-level modulus ties still sort by the
     # documented tie break
-    scale = np.abs(values).max() if values.size else 1.0
-    if scale == 0.0:
-        scale = 1.0
+    scale = np.abs(values).max(initial=0.0) or 1.0
     q = lambda x: np.round(x / scale, 12)
     return np.stack((-q(values.imag), -q(values.real), -q(np.abs(values))))
 
@@ -141,27 +137,6 @@ def small_generalized_eig(Ah, Bh, sigma=0.0):
     return lam, _unit_columns(Z), Y, infinite
 
 
-def full_pivots(M):
-    """Pivot magnitudes of Gaussian elimination with full pivoting, in
-    order; lazy, and stops before an exact zero pivot."""
-    A = np.array(M, dtype=np.complex128, copy=True)
-    for step in range(min(A.shape)):
-        sub = np.abs(A[step:, step:])
-        p = sub.max()
-        if p == 0.0:
-            return
-        yield p
-        i, j = np.unravel_index(np.argmax(sub), sub.shape)
-        i += step
-        j += step
-        if i != step:
-            A[[step, i], :] = A[[i, step], :]
-        if j != step:
-            A[:, [step, j]] = A[:, [j, step]]
-        mult = A[step + 1:, step] / A[step, step]
-        A[step + 1:, step:] -= np.outer(mult, A[step, step:])
-
-
 def dense_rank(M, tol):
     """Rank by Gaussian elimination with full pivoting.
 
@@ -173,10 +148,21 @@ def dense_rank(M, tol):
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    A = np.asarray(M, dtype=np.complex128)
+    A = np.array(M, dtype=np.complex128)  # a copy: elimination works in place
     if A.ndim != 2:
         raise DimensionMismatch("dense_rank expects a 2-d matrix")
     if not np.all(np.isfinite(A)):
         raise NonFiniteInput("dense_rank: the matrix has a non-finite entry")
-    scale = np.abs(A).max() if A.size else 0.0
-    return sum(1 for _ in takewhile(lambda p: p > tol * scale, full_pivots(A)))
+    scale = np.abs(A).max(initial=0.0)
+    for step in range(min(A.shape)):
+        sub = np.abs(A[step:, step:])
+        if sub.max() <= tol * scale:
+            return step
+        i, j = np.unravel_index(np.argmax(sub), sub.shape)
+        if i:
+            A[[step, step + i]] = A[[step + i, step]]
+        if j:
+            A[:, [step, step + j]] = A[:, [step + j, step]]
+        mult = A[step + 1:, step] / A[step, step]
+        A[step + 1:, step:] -= np.outer(mult, A[step, step:])
+    return min(A.shape)

@@ -25,6 +25,7 @@ factor; no option chooses it.
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -98,6 +99,15 @@ class RankLU:
     def border_cols(self):
         """Number of appended columns (columns of W)."""
         return int(self.W.ncols)
+
+    @cached_property
+    def _schedule(self):
+        """What the solves read of the pattern, once per factor: for L and
+        for U the column pointers as a list and the columns that hold an
+        entry, in increasing order; and the mask of U's empty columns."""
+        l, u = ((T.col_ptr.tolist(), np.flatnonzero(np.diff(T.col_ptr)).tolist())
+                for T in (self.L, self.U))
+        return l, u, np.diff(self.U.col_ptr) == 0
 
 
 def factor(M, tau):
@@ -330,35 +340,30 @@ def _csc_from_mask(A, mask):
     return SparseMatrix(nf, nf, col_ptr, rows, A[rows, cols])
 
 
-def _filled(T):
-    """The columns of T that hold an entry, in increasing order."""
-    return np.flatnonzero(T.col_ptr[1:] > T.col_ptr[:-1]).tolist()
-
-
 def solve(F, b):
     """Solve ``[[M, W], [V*, 0]] x = b`` through the stored P, L, U and
     pivots, for a vector b or an ``(n_final, k)`` block of right-hand sides."""
     b = operand(b, F.n_final, "solve")
     # a block broadcasts each column update of the factor across its columns
     shape, nonzero = ((-1,), bool) if b.ndim == 1 else ((-1, 1), np.count_nonzero)
+    (l_ptr, l_filled), (u_ptr, u_filled), u_empty = F._schedule
     y = b[F.perm]  # apply P
-    ptr, rows, vals = F.L.col_ptr.tolist(), F.L.row_idx, F.L.values.reshape(shape)
-    for j in _filled(F.L):
+    ptr, rows, vals = l_ptr, F.L.row_idx, F.L.values.reshape(shape)
+    for j in l_filled:
         yj = y[j]
         if nonzero(yj):
             s, e = ptr[j], ptr[j + 1]
             y[rows[s:e]] -= vals[s:e] * yj
     piv = F.pivots.reshape(shape)
-    ptr, rows, vals = F.U.col_ptr.tolist(), F.U.row_idx, F.U.values.reshape(shape)
-    for j in reversed(_filled(F.U)):
+    ptr, rows, vals = u_ptr, F.U.row_idx, F.U.values.reshape(shape)
+    for j in reversed(u_filled):
         xj = y[j] / piv[j]
         y[j] = xj
         if nonzero(xj):
             s, e = ptr[j], ptr[j + 1]
             y[rows[s:e]] -= vals[s:e] * xj
     # the rows of U's empty columns: every update has reached them by now
-    empty = F.U.col_ptr[1:] == F.U.col_ptr[:-1]
-    y[empty] /= piv[empty]
+    y[u_empty] /= piv[u_empty]
     return y
 
 
@@ -366,15 +371,16 @@ def solve_adjoint(F, b):
     """Solve the conjugate-transposed bordered system ``[[M, W], [V*, 0]]* y = b``
     for a vector b or an ``(n_final, k)`` block of right-hand sides."""
     b = operand(b, F.n_final, "solve_adjoint")
+    (l_ptr, l_filled), (u_ptr, u_filled), _ = F._schedule
     piv = np.conj(F.pivots)
     # the answer in the rows of U's empty columns, which nothing updates
     z = b / piv.reshape((-1,) if b.ndim == 1 else (-1, 1))
-    ptr, rows, vals = F.U.col_ptr.tolist(), F.U.row_idx, F.U.values
-    for j in _filled(F.U):  # U* is lower triangular: forward substitution
+    ptr, rows, vals = u_ptr, F.U.row_idx, F.U.values
+    for j in u_filled:  # U* is lower triangular: forward substitution
         s, e = ptr[j], ptr[j + 1]
         z[j] = (b[j] - np.conj(vals[s:e]) @ z[rows[s:e]]) / piv[j]
-    ptr, rows, vals = F.L.col_ptr.tolist(), F.L.row_idx, F.L.values
-    for j in reversed(_filled(F.L)):  # L* is upper triangular: back substitution
+    ptr, rows, vals = l_ptr, F.L.row_idx, F.L.values
+    for j in reversed(l_filled):  # L* is upper triangular: back substitution
         s, e = ptr[j], ptr[j + 1]
         z[j] -= np.conj(vals[s:e]) @ z[rows[s:e]]
     x = np.empty_like(z)

@@ -179,7 +179,8 @@ def spmv_adjoint(M, y):
 
 
 def norm_estimate(M):
-    """One-norm (maximum column absolute sum); the library's border scale."""
+    """One-norm (maximum column absolute sum): the matrix scale of the
+    solver's relative residuals.  The border scale is :func:`two_norm_estimate`."""
     if M.nrows == 0 or M.ncols == 0:
         raise DimensionMismatch("norm_estimate of an empty-dimension matrix")
     if M.nnz == 0:

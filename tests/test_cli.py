@@ -4,6 +4,7 @@ import pytest
 from jsonschema import validate as schema_validate
 
 import singpencil
+from singpencil import problems
 from singpencil.cli import main
 from singpencil.mmio import read_matrix_market, write_matrix_market
 from singpencil.sparse import SparseMatrix
@@ -39,12 +40,27 @@ def test_solve_json_schema_and_manifest(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out_path.read_text())
     schema_validate(doc, _schema())
-    manifest = json.loads((out_path.with_suffix(".json.manifest.json")
-                           if False else tmp_path / "res.json.manifest.json").read_text())
+    manifest = json.loads((tmp_path / "res.json.manifest.json").read_text())
     assert manifest["seed"] == 42
+    assert manifest["inputs"] == {"generator": "tolerance", "perturbed": False,
+                                  "description": problems.gen_tolerance_pencil().description}
     assert manifest["border"]["detected_rank"] == 8
     assert manifest["result_table"] == str(out_path)
     assert "factor" in manifest["timings"] and "wall" in manifest["timings"]
+
+
+def test_solve_manifest_records_generator_options(tmp_path, capsys):
+    out_path = tmp_path / "res.txt"
+    code, _, _ = run(capsys, "solve", "--generate", "quadratic", "--n", "8",
+                     "--beta2", "1", "--beta1", "-3", "--beta0", "2",
+                     "--shift", "1.1", "--steps", "10", "--out", str(out_path))
+    assert code == 0
+    inputs = json.loads((tmp_path / "res.txt.manifest.json").read_text())["inputs"]
+    assert inputs["generator"] == "quadratic"
+    assert (inputs["n"], inputs["beta2"], inputs["beta1"], inputs["beta0"]) == (8, 1.0, -3.0, 2.0)
+    assert "gen_seed" not in inputs  # not given: the description states the one used
+    assert inputs["description"] == problems.gen_quadratic_companion(
+        n=8, beta0=2.0, beta1=-3.0, beta2=1.0).description
 
 
 def test_solve_deterministic_table(tmp_path, capsys):

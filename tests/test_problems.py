@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from singpencil import problems, regularize
+from singpencil import SolverConfig, problems, regularize, solve_singular
+from singpencil.bordered import Pencil
 from singpencil.dense import dense_rank
 from singpencil.errors import DimensionMismatch
-from singpencil.sparse import add_scaled
+from singpencil.sparse import SparseMatrix, add_scaled
 
 
 def pencil_value(p, lam):
@@ -131,55 +132,86 @@ def test_rectangular_matches_dense_definition():
     np.testing.assert_array_equal(rect.pencil.B.to_dense(), P @ np.hstack((beta_b * e1, RB)))
 
 
-# -- dense sweep oracle -------------------------------------------------------------------
+# -- dense rank-completing oracle ----------------------------------------------------------
 
-def test_oracle_toy_grid():
-    toy = problems.gen_kronecker_toy()
-    profile, candidates = problems.oracle_pencil_spectrum(
-        toy.pencil, [0.0, 0.5, 1.0, 2.0], tol=1e-10)
-    drops = [lam for lam, r in profile if r < 3]
-    assert drops == [1.0]
-    assert any(abs(c - 1.0) <= 1e-6 for c in candidates)
-    assert all(abs(c - 1.0) <= 1e-6 for c in candidates)
+def _generated(gp, extra=()):
+    return gp.pencil, gp.normal_rank, gp.true_eigenvalues + extra
 
 
-def test_oracle_regular_diag_pencil():
-    from singpencil.bordered import Pencil
-    from singpencil.sparse import SparseMatrix
+def _wide(gp):
+    A, B = (SparseMatrix.from_dense(M.to_dense().conj().T) for M in (gp.pencil.A, gp.pencil.B))
+    return Pencil(A, B), gp.normal_rank, gp.true_eigenvalues
+
+
+def _quadratic_singular_a():
+    """At seed 9 a sparse random column of R0 is empty, so ``[beta0 e1 | R0]``
+    loses column rank, rank(A) falls below the normal rank and 0 is an
+    eigenvalue that ``true_eigenvalues`` does not list."""
+    gp = problems.gen_quadratic_companion(n=30, seed=9)
+    assert dense_rank(gp.pencil.A.to_dense(), 1e-10) < gp.normal_rank
+    return _generated(gp, (0j,))
+
+
+def _diag12():
     p = Pencil(SparseMatrix.from_dense(np.diag([1.0, 2.0])), SparseMatrix.identity(2))
-    profile, candidates = problems.oracle_pencil_spectrum(p, [1.0, 1.5, 2.0], tol=1e-10)
-    ranks = dict((lam.real, r) for lam, r in profile)
-    assert ranks[1.0] == 1 and ranks[2.0] == 1 and ranks[1.5] == 2
-    reals = sorted(c.real for c in candidates)
-    assert any(abs(r - 1) <= 1e-6 for r in reals)
-    assert any(abs(r - 2) <= 1e-6 for r in reals)
+    return p, 2, (1.0, 2.0)
 
 
-def test_oracle_small_companion():
-    quad = problems.gen_quadratic_companion(n=6)
-    profile, candidates = problems.oracle_pencil_spectrum(
-        quad.pencil, [0.0, 0.5, 1.0, 1.5], tol=1e-8)
-    drops = [lam for lam, r in profile if r < quad.normal_rank]
-    assert drops == [1.0]
-    assert all(abs(c - 1.0) <= 1e-5 for c in candidates)
+# (pencil, normal rank, true eigenvalues) and the solver's (sigma, steps, restarts)
+ORACLE_CASES = [
+    pytest.param(lambda: _generated(problems.gen_kronecker_toy()), (0.0, 5, 1), id="toy"),
+    pytest.param(lambda: _generated(problems.gen_tolerance_pencil(seed=1)), (0.0, 11, 1),
+                 id="tolerance-seed1"),
+    pytest.param(lambda: _generated(problems.gen_tolerance_pencil(seed=2)), (0.0, 11, 1),
+                 id="tolerance-seed2"),
+    pytest.param(lambda: _generated(problems.gen_quadratic_companion(n=6)), (1.1, 20, 1),
+                 id="quadratic6"),
+    pytest.param(lambda: _generated(problems.gen_quadratic_companion(n=30)), (1.1, 20, 1),
+                 id="quadratic30"),
+    pytest.param(lambda: _generated(problems.gen_quadratic_companion(
+        n=6, beta0=2.0, beta1=-3.0, beta2=1.0)), (1.1, 20, 1), id="quadratic6-two-roots"),
+    pytest.param(_quadratic_singular_a, (0.1, 20, 1), id="quadratic30-seed9"),
+    pytest.param(lambda: _generated(problems.gen_rectangular(n=14)), (0.9, 10, 2),
+                 id="rectangular14"),
+    pytest.param(lambda: _generated(problems.gen_rectangular(n=30)), (0.9, 10, 2),
+                 id="rectangular30"),
+    pytest.param(lambda: _generated(problems.gen_rectangular(n=14, betaA=2.0, betaB=0.5)),
+                 (0.9, 10, 2), id="rectangular14-beta4"),
+    pytest.param(lambda: _generated(problems.gen_rectangular(n=30, betaA=2.0, betaB=0.5)),
+                 (0.9, 10, 2), id="rectangular30-beta4"),
+    pytest.param(lambda: _wide(problems.gen_rectangular(n=30)), (0.9, 10, 2), id="wide30"),
+    pytest.param(_diag12, (0.0, 2, 1), id="diag12"),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1], ids=lambda s: f"oracle{s}")
+@pytest.mark.parametrize("make, solver", ORACLE_CASES)
+def test_oracle_rank_and_true_set(make, solver, seed):
+    p, rank, truth = make()
+    got_rank, true = problems.oracle_pencil_spectrum(p, seed=seed)
+    assert got_rank == rank
+    assert len(true) == len(truth)
+    assert all(np.min(np.abs(true - lam)) <= 1e-8 for lam in truth)
+
+
+@pytest.mark.parametrize("make, solver", ORACLE_CASES)
+def test_solver_true_set_within_oracle(make, solver):
+    """The solver's True set is a subset of the oracle's and holds the
+    oracle's eigenvalue nearest the shift."""
+    p, _, _ = make()
+    _, true = problems.oracle_pencil_spectrum(p)
+    sigma, steps, restarts = solver
+    cfg = SolverConfig(sigma=sigma, tau=1e-12, krylov_steps=steps, implicit_restarts=restarts)
+    found = [t.lam for t in solve_singular(p, cfg) if t.label == "True"]
+    assert all(np.min(np.abs(true - lam)) <= 1e-8 for lam in found)
+    nearest = true[np.argmin(np.abs(true - sigma))]
+    assert found and min(abs(lam - nearest) for lam in found) <= 1e-8
 
 
 def test_oracle_size_guard():
     rect = problems.gen_rectangular(n=300)
     with pytest.raises(DimensionMismatch):
-        problems.oracle_pencil_spectrum(rect.pencil, [0.0])
-
-
-def test_oracle_confirms_generator_truth_desk_scale():
-    for gp, grid in (
-        (problems.gen_kronecker_toy(), [0.2, 1.0, 1.7]),
-        (problems.gen_quadratic_companion(n=6), [0.3, 1.0, 1.9]),
-        (problems.gen_rectangular(n=14), [0.5, 1.0, 1.5]),
-    ):
-        profile, _ = problems.oracle_pencil_spectrum(gp.pencil, grid, tol=1e-8)
-        drops = {lam for lam, r in profile if r < gp.normal_rank}
-        truth = {complex(l) for l in gp.true_eigenvalues}
-        assert drops == {g for g in map(complex, grid) if g in truth}
+        problems.oracle_pencil_spectrum(rect.pencil)
 
 
 # -- bordered dense oracles -------------------------------------------------------------
