@@ -9,6 +9,7 @@ Market files with its ground truth.  Exit codes: 0 success, 1 usage error,
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import sys
@@ -48,14 +49,15 @@ def _given(**values):
     return {k: v for k, v in values.items() if v is not None}
 
 
+# each generator with the keyword arguments it takes from the options given
 GENERATORS = {
-    "kronecker_toy": lambda a: problems.gen_kronecker_toy(),
-    "tolerance": lambda a: problems.gen_tolerance_pencil(
-        perturbed=a.perturbed, **_given(seed=a.gen_seed)),
-    "quadratic": lambda a: problems.gen_quadratic_companion(
-        **_given(n=a.n, beta0=a.beta0, beta1=a.beta1, beta2=a.beta2, seed=a.gen_seed)),
-    "rectangular": lambda a: problems.gen_rectangular(
-        **_given(n=a.n, betaA=a.beta_a, betaB=a.beta_b)),
+    "kronecker_toy": (problems.gen_kronecker_toy, lambda a: {}),
+    "tolerance": (problems.gen_tolerance_pencil,
+                  lambda a: _given(perturbed=a.perturbed, seed=a.gen_seed)),
+    "quadratic": (problems.gen_quadratic_companion, lambda a: _given(
+        n=a.n, beta0=a.beta0, beta1=a.beta1, beta2=a.beta2, seed=a.gen_seed)),
+    "rectangular": (problems.gen_rectangular,
+                    lambda a: _given(n=a.n, betaA=a.beta_a, betaB=a.beta_b)),
 }
 
 
@@ -72,9 +74,13 @@ def _add_problem_args(p):
 
 
 def _generate(args, parser):
-    """The generated problem; an argument the generator rejects is a usage error."""
+    """The generated problem and every argument of the generator, its
+    defaults filled in; an argument the generator rejects is a usage error."""
+    make, options = GENERATORS[args.generate]
+    call = inspect.signature(make).bind(**options(args))
+    call.apply_defaults()
     try:
-        return GENERATORS[args.generate](args)
+        return make(**call.arguments), call.arguments
     except ValueError as exc:
         parser.error(f"--generate {args.generate}: {exc}")
 
@@ -83,12 +89,8 @@ def _load_problem(args, parser):
     if args.generate and (args.a_path or args.b_path):
         parser.error("--generate conflicts with --a/--b")
     if args.generate:
-        gen = _generate(args, parser)
-        # the options given, and the description states the values resolved
-        given = _given(n=args.n, gen_seed=args.gen_seed, beta0=args.beta0, beta1=args.beta1,
-                       beta2=args.beta2, beta_a=args.beta_a, beta_b=args.beta_b)
-        return gen.pencil, {"generator": args.generate, "description": gen.description,
-                            "perturbed": args.perturbed, **given}
+        gen, arguments = _generate(args, parser)
+        return gen.pencil, {"generator": args.generate, **arguments}
     if not (args.a_path and args.b_path):
         parser.error("need --a and --b, or --generate")
     A = read_matrix_market(args.a_path)
@@ -193,7 +195,7 @@ def cmd_rank(args, parser):
 def cmd_export(args, parser):
     if not args.generate:
         parser.error("export needs --generate")
-    gen = _generate(args, parser)
+    gen, _ = _generate(args, parser)
     prefix = args.out_prefix
     a_path, b_path = f"{prefix}_A.mtx", f"{prefix}_B.mtx"
     write_matrix_market(a_path, gen.pencil.A)

@@ -35,7 +35,9 @@ def qr(M):
 def _sort_keys(values):
     # keys are quantized so rounding-level modulus ties still sort by the
     # documented tie break
-    scale = np.abs(values).max(initial=0.0) or 1.0
+    scale = np.abs(values).max() if values.size else 1.0
+    if scale == 0.0:
+        scale = 1.0
     q = lambda x: np.round(x / scale, 12)
     return np.stack((-q(values.imag), -q(values.real), -q(np.abs(values))))
 

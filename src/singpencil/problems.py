@@ -120,13 +120,22 @@ def _quadratic_roots(beta0, beta1, beta2):
 
 def _ai_block(n, beta, rng):
     """Block [beta e1 | R | 0] with R an (n)x(n-2) seeded sparse Gaussian of
-    density 5/n, as ``(rows, cols, values)``; the values stay real so sign
-    flips cannot introduce -0.0 imaginary parts."""
-    rows, cols = np.nonzero(rng.random((n, n - 2)) < 5.0 / n)
-    vals = rng.standard_normal((n, n - 2))[rows, cols]
+    density 5/n."""
+    dens = 5.0 / n
+    mask = rng.random((n, n - 2)) < dens
+    vals = rng.standard_normal((n, n - 2))
+    rows, cols = np.nonzero(mask)
+    entries = vals[rows, cols]
+    r_list = [rows]
+    c_list = [cols + 1]
+    v_list = [entries]
     if beta != 0:
-        return np.append(rows, 0), np.append(cols + 1, 0), np.append(vals, float(beta))
-    return rows, cols + 1, vals
+        r_list.append(np.array([0]))
+        c_list.append(np.array([0]))
+        v_list.append(np.array([beta], dtype=float))
+    # keep values real so sign flips cannot introduce -0.0 imaginary parts
+    return (np.concatenate(r_list), np.concatenate(c_list),
+            np.concatenate(v_list).astype(np.float64))
 
 
 def gen_quadratic_companion(n=500, beta0=-1.0, beta1=1.0, beta2=0.0, seed=1):
@@ -208,38 +217,47 @@ def gen_rectangular(n=10000, betaA=1.0, betaB=1.0):
 # -- dense oracles -------------------------------------------------------------
 
 _DENSIFY_LIMIT = 200
+# the oracle's bound on the bordered size: its batched SVD holds about four
+# size**3 complex arrays, 46 MiB at 100
+_ORACLE_LIMIT = 100
+_ORACLE_RANK_TOL = 1e-10
+_ORACLE_BORDER_TOL = 1e-6
 
 
-def oracle_pencil_spectrum(p, delta=1e-6, tol=1e-10, seed=0):
+def oracle_pencil_spectrum(p, seed=0):
     """Dense rank-completing oracle: ``(rank, true)`` of a small pencil.
 
-    ``rank`` is the larger :func:`dense_rank` (at ``tol``) of ``A - mu B``
+    ``rank`` is the larger :func:`dense_rank` (at ``1e-10``) of ``A - mu B``
     at two seeded random complex ``mu``.  The eigentriplets of ``[[A, W],
     [V*, 0]] - lambda [[B, 0], [0, 0]]``, with seeded complex Gaussian V and
     W of ``ncols - rank`` and ``nrows - rank`` columns, come from
     :func:`small_generalized_eig` at a third random shift.  ``true`` holds
     the finite eigenvalues whose unit right and left vectors both have
-    border parts of norm below ``delta``.
+    border parts of norm below ``1e-6``.
 
     It certifies only pencils that are singular up to rounding; a perturbed
     one gives false eigenvalues tiny border parts too.  Its cost grows like
-    size**4 (one SVD per eigenvalue), hence the size guard.
+    size**4 (one SVD per eigenvalue), so the bordered size ``nrows + ncols -
+    rank`` is limited to 100.
     """
-    if max(p.nrows, p.ncols) > _DENSIFY_LIMIT:
-        raise DimensionMismatch(f"oracle limited to size {_DENSIFY_LIMIT}")
     n, m = p.nrows, p.ncols
+    if max(n, m) > _ORACLE_LIMIT:  # the bordered size is at least this
+        raise DimensionMismatch(f"oracle limited to size {_ORACLE_LIMIT}")
     A, B = p.A.to_dense(), p.B.to_dense()
     rng = np.random.default_rng(seed)
     gauss = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     mus = gauss(3)
-    rank = max(dense_rank(A - mu * B, tol) for mu in mus[:2])
+    rank = max(dense_rank(A - mu * B, _ORACLE_RANK_TOL) for mu in mus[:2])
+    if n + m - rank > _ORACLE_LIMIT:
+        raise DimensionMismatch(f"bordered size {n + m - rank} exceeds the oracle's "
+                                f"limit {_ORACLE_LIMIT}")
     V, W = gauss(m, m - rank), gauss(n, n - rank)
     Ab = np.block([[A, W], [V.conj().T, np.zeros((m - rank, n - rank))]])
     Bb = np.zeros_like(Ab)
     Bb[:n, :m] = B
     lam, X, Y, infinite = small_generalized_eig(Ab - mus[2] * Bb, Bb, sigma=mus[2])
     border = np.maximum(np.linalg.norm(X[m:], axis=0), np.linalg.norm(Y[n:], axis=0))
-    return rank, lam[~infinite & (border < delta)]
+    return rank, lam[~infinite & (border < _ORACLE_BORDER_TOL)]
 
 
 def bordered_theta_spectrum(bp):

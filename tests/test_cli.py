@@ -4,7 +4,6 @@ import pytest
 from jsonschema import validate as schema_validate
 
 import singpencil
-from singpencil import problems
 from singpencil.cli import main
 from singpencil.mmio import read_matrix_market, write_matrix_market
 from singpencil.sparse import SparseMatrix
@@ -42,8 +41,7 @@ def test_solve_json_schema_and_manifest(tmp_path, capsys):
     schema_validate(doc, _schema())
     manifest = json.loads((tmp_path / "res.json.manifest.json").read_text())
     assert manifest["seed"] == 42
-    assert manifest["inputs"] == {"generator": "tolerance", "perturbed": False,
-                                  "description": problems.gen_tolerance_pencil().description}
+    assert manifest["inputs"] == {"generator": "tolerance", "perturbed": False, "seed": 1}
     assert manifest["border"]["detected_rank"] == 8
     assert manifest["result_table"] == str(out_path)
     assert "factor" in manifest["timings"] and "wall" in manifest["timings"]
@@ -56,11 +54,19 @@ def test_solve_manifest_records_generator_options(tmp_path, capsys):
                      "--shift", "1.1", "--steps", "10", "--out", str(out_path))
     assert code == 0
     inputs = json.loads((tmp_path / "res.txt.manifest.json").read_text())["inputs"]
-    assert inputs["generator"] == "quadratic"
-    assert (inputs["n"], inputs["beta2"], inputs["beta1"], inputs["beta0"]) == (8, 1.0, -3.0, 2.0)
-    assert "gen_seed" not in inputs  # not given: the description states the one used
-    assert inputs["description"] == problems.gen_quadratic_companion(
-        n=8, beta0=2.0, beta1=-3.0, beta2=1.0).description
+    # the options given, and the generator's default for the seed
+    assert inputs == {"generator": "quadratic", "n": 8, "beta0": 2.0, "beta1": -3.0,
+                      "beta2": 1.0, "seed": 1}
+
+
+def test_solve_manifest_omits_options_the_generator_ignores(tmp_path, capsys):
+    out_path = tmp_path / "res.txt"
+    code, _, _ = run(capsys, "solve", "--generate", "rectangular", "--n", "14",
+                     "--beta0", "5", "--gen-seed", "3", "--perturbed",
+                     "--shift", "0.9", "--steps", "10", "--out", str(out_path))
+    assert code == 0
+    inputs = json.loads((tmp_path / "res.txt.manifest.json").read_text())["inputs"]
+    assert inputs == {"generator": "rectangular", "n": 14, "betaA": 1.0, "betaB": 1.0}
 
 
 def test_solve_deterministic_table(tmp_path, capsys):

@@ -210,8 +210,18 @@ def test_solver_true_set_within_oracle(make, solver):
 
 def test_oracle_size_guard():
     rect = problems.gen_rectangular(n=300)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="limited to size 100"):
         problems.oracle_pencil_spectrum(rect.pencil)
+
+
+def test_oracle_bordered_size_guard():
+    """100 x 100 of normal rank 99 is within the row and column bound, but
+    its bordered size 101 is one over the oracle's limit."""
+    d = np.append(np.ones(99), 0.0)
+    p = Pencil(SparseMatrix.from_dense(np.diag(d * np.arange(1, 101))),
+               SparseMatrix.from_dense(np.diag(d)))
+    with pytest.raises(DimensionMismatch, match="bordered size 101"):
+        problems.oracle_pencil_spectrum(p)
 
 
 # -- bordered dense oracles -------------------------------------------------------------
