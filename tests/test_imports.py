@@ -1,6 +1,6 @@
 """Every top-level import of a package module or a test file is used, and
 every private module-level name of the package is referenced in it; and
-a solve loads no scipy module.
+a solve loads no scipy module and no ``numpy.ma``.
 
 No linter runs on this repository, so these tests are the check that
 deleting code does not leave imports or private helpers behind.
@@ -85,3 +85,20 @@ def test_solve_loads_no_scipy():
                           env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert proc.returncode == 0, proc.stderr[-4000:]
     assert proc.stdout.strip() == "[]"
+
+
+def test_solve_loads_no_masked_arrays():
+    """A solve of the toy pencil, in a fresh interpreter, leaves
+    ``numpy.ma`` unloaded.  ``np.unique`` imports it on its first call,
+    which costs 15-20 ms (measured) in every process that solves: about a
+    third of the ``first_solve_s`` of the order-10 pencils."""
+    code = ("import sys\n"
+            "import singpencil as sp\n"
+            "from singpencil import problems\n"
+            "sp.solve_singular(problems.gen_kronecker_toy().pencil, sp.SolverConfig(krylov_steps=5))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    assert proc.stdout.strip() == "False"

@@ -347,13 +347,57 @@ def test_solve_round_trip_and_adjoint_identity(rng):
         Bk[:, 1] = 0.0
         X = rank_lu.solve(F, Bk)
         assert X.shape == Bk.shape
-        np.testing.assert_array_equal(X, np.column_stack([rank_lu.solve(F, col) for col in Bk.T]))
+        cols = np.column_stack([rank_lu.solve(F, col) for col in Bk.T])
+        np.testing.assert_allclose(X, cols, rtol=0, atol=1e-13 * np.abs(cols).max())
         Y = rank_lu.solve_adjoint(F, Bk)
         cols = np.column_stack([rank_lu.solve_adjoint(F, col) for col in Bk.T])
         np.testing.assert_allclose(Y, cols, rtol=0, atol=1e-13 * np.abs(cols).max())
         assert rank_lu.solve(F, Bk[:, :1]).shape == (nf, 1)
         for mv, rhs in ((spmv, Bk[:M.ncols]), (spmv_adjoint, Bk[:M.nrows])):
             np.testing.assert_array_equal(mv(M, rhs), np.column_stack([mv(M, c) for c in rhs.T]))
+
+
+@pytest.mark.parametrize("kernel", ["sparse", "dense"])
+@pytest.mark.parametrize("M, tau", list(_kernel_cases()))
+def test_solve_plan_matches_dense_solve(monkeypatch, M, tau, kernel):
+    """The blocked plan against ``np.linalg.solve`` on the dense bordered
+    matrix and its adjoint, for a vector and a 3-column block with a zero
+    column: the round-trip test's backward-error bound, and a forward error
+    within the bound times the condition number."""
+    F = _factor_with(monkeypatch, kernel, M, tau)
+    Bd = dense_bordered(M, F.V, F.W)
+    nf = F.n_final
+    rng = np.random.default_rng(5)
+    Bk = rng.standard_normal((nf, 3)) + 1j * rng.standard_normal((nf, 3))
+    Bk[:, 1] = 0.0
+    for A, solve in ((Bd, rank_lu.solve), (Bd.conj().T, rank_lu.solve_adjoint)):
+        cond = np.linalg.cond(A)
+        for b in (Bk[:, 0], Bk):
+            x = solve(F, b)
+            assert x.shape == b.shape
+            for xj, bj in zip(x.reshape(nf, -1).T, b.reshape(nf, -1).T):
+                nx = np.linalg.norm(xj)
+                assert np.linalg.norm(A @ xj - bj) <= 1e-11 * max(1.0, nx) * F.alpha
+                assert np.linalg.norm(xj - np.linalg.solve(A, bj)) <= 1e-11 * cond * max(1.0, nx)
+        assert np.all(x[:, 1] == 0.0)
+
+
+def test_block_inverse_max():
+    """The stability record is exactly 1 when no diagonal block needs an
+    inverse, and otherwise the largest |entry| of the inverted diagonal
+    blocks of I + L and I + U diag(pivots)^-1, small on the benchmark's
+    two pencil families."""
+    assert rank_lu.factor(SparseMatrix.identity(40), 1e-12).block_inverse_max == 1.0
+    for M in (_pencil_at_shift(problems.gen_quadratic_companion(n=40), 1.1),
+              _pencil_at_shift(problems.gen_rectangular(n=200), 0.9)):
+        F = rank_lu.factor(M, 1e-12)
+        nf, b = F.n_final, rank_lu._BLOCK
+        lower = np.eye(nf) + F.L.to_dense()
+        upper = np.eye(nf) + F.U.to_dense() / F.pivots
+        expected = max(np.abs(np.linalg.inv(T[j:j + b, j:j + b])).max()
+                       for T in (lower, upper) for j in range(0, nf, b))
+        assert F.block_inverse_max == pytest.approx(expected, rel=1e-12)
+        assert 1.0 <= F.block_inverse_max <= 10.0
 
 
 def test_solve_dimension_error():
