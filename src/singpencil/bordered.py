@@ -98,8 +98,7 @@ class BorderedPencil:
     @cached_property
     def shifted_matrix(self):
         """Bordered ``[[A - sigma B, W], [V*, 0]]`` (the factored matrix)."""
-        shifted = add_scaled(self.base.A, -self.shift, self.base.B)
-        return assemble_bordered(shifted, self.V, self.W)
+        return add_scaled(self.a_matrix, -self.shift, self.b_matrix)
 
     @cached_property
     def a_matrix(self):

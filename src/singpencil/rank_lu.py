@@ -19,20 +19,21 @@ of M.
 When the factor fills in, the sparse loop gives up and the factorization
 restarts from column 0 in a dense blocked right-looking kernel with the
 same pivot, tie-break and breakdown rules (the sparse-to-dense switch of
-UMFPACK and CHOLMOD).  ``RankLU.path`` records which kernel produced the
-factor; no option chooses it.
+UMFPACK and CHOLMOD).  Each panel of ``_PANEL`` columns is a column loop,
+one triangular solve for its U rows and one product for the trailing
+rows, as in LAPACK's ``getrf``.  ``RankLU.path`` records which kernel
+produced the factor; no option chooses it.
 
 The solves run through a plan built once per factor, on the first solve.
 ``diag(pivots) + U == (I + U diag(pivots)^-1) diag(pivots)``, so both
 triangles are unit triangular.  Their columns split into blocks of
 ``_BLOCK``; each block keeps the explicit inverse of its diagonal part
-(none where that part is the identity) and its other entries as one
-dense panel over the rows they touch; a block with no entry is skipped,
-as is every block of an empty U.  A solve is then two matrix products
-per block, ``x = inv @ y[j0:j1]`` and ``y[rows] -= panel @ x``: forward
-over L, backward over U, and one division by the pivots;
-``solve_adjoint`` runs the same plan transposed.  A vector is a block of
-one column.
+and its other entries as one dense panel over the rows they touch; a
+block with no entry is skipped, as is every block of an empty U.  A
+solve is then two matrix products per block, ``x = inv @ y[j0:j1]`` and
+``y[rows] -= panel @ x``: forward over L, backward over U, and one
+division by the pivots; ``solve_adjoint`` runs the same plan transposed.
+A vector is a block of one column.
 
 Explicit inverses add an error that grows with the condition of the
 diagonal blocks (Du Croz and Higham, IMA J. Numer. Anal. 12, 1992;
@@ -141,8 +142,7 @@ class RankLU:
         when every diagonal block is the identity.  Builds the plan if no
         solve has yet (see the module docstring)."""
         lower, upper, _ = self._plan
-        return max([1.0] + [float(np.abs(inv).max()) for _, _, inv, _, _ in lower + upper
-                            if inv is not None])
+        return max((float(np.abs(inv).max()) for _, _, inv, _, _ in lower + upper), default=1.0)
 
 
 def factor(M, tau):
@@ -351,9 +351,9 @@ def _factor_dense(M, alpha, tau):
                 A[t + 1:n_cur, t] /= A[t, t]
                 A[t + 1:n_cur, t + 1:k1] -= np.outer(A[t + 1:n_cur, t], A[t, t + 1:k1])
         if k1 < m:
-            # U12 rows: forward substitution with the panel's unit-lower L11
-            for i in range(k0, k1 - 1):
-                A[i + 1:k1, k1:] -= np.outer(A[i + 1:k1, i], A[i, k1:])
+            # U12 rows: one solve with the panel's unit-lower L11
+            L11 = np.tril(A[k0:k1, k0:k1], -1) + np.eye(k1 - k0)
+            A[k0:k1, k1:] = np.linalg.solve(L11, A[k0:k1, k1:])
             A[k1:n_cur, k1:] -= A[k1:n_cur, k0:k1] @ A[k0:k1, k1:]
 
     A = A[:n_cur]
@@ -382,15 +382,15 @@ def _unit_steps(T, lower, pivots=None):
 
     The columns split into blocks of ``_BLOCK``.  A block leads to a step
     ``(j0, j1, inv, rows, panel)`` if it holds an entry: ``inv`` is the
-    inverse of its diagonal part, or None where that part is the identity,
-    and ``panel`` holds its entries outside that part, densely over the
+    inverse of its diagonal part (the identity if that part holds no
+    entry) and ``panel`` holds its other entries, densely over the
     ``rows`` they touch (a slice when those are contiguous), or is None.
     All inverses are views into one stack and all panels into one array,
     whatever the number of blocks: many small arrays would stay on the
     heap between solves."""
     n, ptr, b = T.ncols, T.col_ptr, _BLOCK
     mark = np.zeros(n, dtype=bool)
-    layout, n_inv, n_pan = [], 0, 0
+    layout, n_pan = [], 0
     for j0 in range(0, n, b):
         j1 = min(j0 + b, n)
         s, e = ptr[j0], ptr[j1]
@@ -404,28 +404,23 @@ def _unit_steps(T, lower, pivots=None):
             mark[touched] = True
             touched = lo + np.flatnonzero(mark[lo:touched.max() + 1])
             mark[touched] = False
-        has_inv = bool(inside.any())
-        layout.append((j0, j1, s, e, inside, has_inv, touched))
-        n_inv += has_inv
+        layout.append((j0, j1, s, e, inside, touched))
         n_pan += touched.size * (j1 - j0)
     # the diagonal parts go straight into the stack (a narrow last block
     # padded with the identity) and are inverted there
-    inverses = np.zeros((n_inv, b, b), dtype=np.complex128)
+    inverses = np.zeros((len(layout), b, b), dtype=np.complex128)
     inverses[:, np.arange(b), np.arange(b)] = 1.0
     panels = np.zeros(n_pan, dtype=np.complex128)
     pos = np.empty(n, dtype=np.int64)
-    steps, a, p = [], 0, 0
-    for j0, j1, s, e, inside, has_inv, touched in layout:
+    steps, p = [], 0
+    for a, (j0, j1, s, e, inside, touched) in enumerate(layout):
         w = j1 - j0
         cols = np.repeat(np.arange(w), np.diff(ptr[j0:j1 + 1]))
         rows, vals = T.row_idx[s:e], T.values[s:e]
         if pivots is not None:
             vals = vals / pivots[j0 + cols]
-        inv = panel = sel = None
-        if has_inv:
-            inverses[a, rows[inside] - j0, cols[inside]] = vals[inside]
-            inv = inverses[a, :w, :w]
-            a += 1
+        inverses[a, rows[inside] - j0, cols[inside]] = vals[inside]
+        panel = sel = None
         if touched.size:
             out = ~inside
             pos[touched] = np.arange(touched.size)
@@ -434,8 +429,8 @@ def _unit_steps(T, lower, pivots=None):
             p += touched.size * w
             lo, hi = int(touched[0]), int(touched[-1]) + 1
             sel = slice(lo, hi) if hi - lo == touched.size else touched
-        steps.append((j0, j1, inv, sel, panel))
-    for a in range(0, n_inv, 64):  # 64 blocks at a time keeps the temporary small
+        steps.append((j0, j1, inverses[a, :w, :w], sel, panel))
+    for a in range(0, len(layout), 64):  # 64 blocks at a time keeps the temporary small
         inverses[a:a + 64] = np.linalg.inv(inverses[a:a + 64])
     return steps
 
@@ -444,8 +439,7 @@ def _substitute(steps, y):
     """Run ``steps`` on the ``(n, k)`` block y in place: finish a block,
     then subtract its panel's update from the rows it touches."""
     for j0, j1, inv, rows, panel in steps:
-        if inv is not None:
-            y[j0:j1] = inv @ y[j0:j1]
+        y[j0:j1] = inv @ y[j0:j1]
         if panel is not None:
             y[rows] -= panel @ y[j0:j1]
 
@@ -456,8 +450,7 @@ def _substitute_transposed(steps, y):
     for j0, j1, inv, rows, panel in steps:
         if panel is not None:
             y[j0:j1] -= panel.T @ y[rows]
-        if inv is not None:
-            y[j0:j1] = inv.T @ y[j0:j1]
+        y[j0:j1] = inv.T @ y[j0:j1]
 
 
 def solve(F, b):

@@ -52,6 +52,32 @@ def test_regularize_toy_reproduces_published_bordered_pencil():
     assert np.all(Bd[4:, :] == 0) and np.all(Bd[:, 4:] == 0)
 
 
+def _shift_cases():
+    toy = problems.gen_kronecker_toy().pencil
+    for sigma in (0.0, 0.5, 2.0, 0.3 + 0.2j):
+        yield pytest.param(toy, sigma, 1e-12, id=f"toy-sigma{sigma}")
+    for perturbed in (False, True):
+        p = problems.gen_tolerance_pencil(perturbed=perturbed).pencil
+        for tau in (1e-16, 2.2e-15, 1e-10, 1e-5, 0.2):
+            yield pytest.param(p, 0.0, tau, id=f"order10-{'perturbed' if perturbed else 'clean'}-tau{tau}")
+    for seed in (1, 2):
+        p = problems.gen_quadratic_companion(n=40, seed=seed).pencil
+        yield pytest.param(p, 1.1, 1e-12, id=f"quadratic40-seed{seed}")
+    yield pytest.param(problems.gen_rectangular(n=200).pencil, 0.9, 1e-12, id="rectangular200")
+
+
+@pytest.mark.parametrize("p, sigma, tau", list(_shift_cases()))
+def test_shifted_matrix_is_a_minus_sigma_b_bordered(p, sigma, tau):
+    """The factored matrix, bordered A minus sigma times bordered B, is bit
+    for bit the shifted pencil matrix assembled with the border."""
+    bp = regularize(p, sigma, tau)
+    expected = assemble_bordered(add_scaled(p.A, -bp.shift, p.B), bp.V, bp.W)
+    got = bp.shifted_matrix
+    assert got.shape == expected.shape
+    for name in ("col_ptr", "row_idx", "values"):
+        assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
+
+
 def test_regularize_regular_pencil_empty_border():
     p = Pencil(SparseMatrix.from_dense(np.diag([1.0, 2, 3, 4, 5])),
                SparseMatrix.identity(5))
