@@ -91,7 +91,7 @@ def arnoldi_run(S, v0, steps):
         raise DimensionMismatch("start vector length does not match operator")
     ell = S.leading
     pn = _seminorm(v0, ell)
-    if pn == 0.0 or pn <= BREAKDOWN_RTOL * np.linalg.norm(v0):
+    if pn <= BREAKDOWN_RTOL * np.linalg.norm(v0):
         raise StartVectorError("start vector lies in the seminorm kernel")
 
     n = S.size

@@ -84,8 +84,7 @@ def hessenberg_eig(H):
     H = np.asarray(H, dtype=np.complex128)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise DimensionMismatch("hessenberg_eig expects a square matrix")
-    n = H.shape[0]
-    if n > 2 and np.any(np.tril(H, -2) != 0.0):
+    if np.any(np.tril(H, -2) != 0.0):
         raise DimensionMismatch("matrix is not upper Hessenberg")
     theta, Z = _eig(H, "hessenberg_eig")
     order = _sort_order(theta)

@@ -83,7 +83,7 @@ def read_matrix_market(path):
 def write_matrix_market(path, M):
     """Write ``M`` in coordinate format, with field ``complex`` when the
     matrix has a nonzero imaginary part and ``real`` otherwise."""
-    field = "complex" if M.nnz and np.any(M.values.imag != 0.0) else "real"
+    field = "complex" if np.any(M.values.imag != 0.0) else "real"
     rows, cols, vals = M.coo()
     columns = [rows + 1, cols + 1, vals.real]
     if field == "complex":

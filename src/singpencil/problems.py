@@ -125,17 +125,11 @@ def _ai_block(n, beta, rng):
     mask = rng.random((n, n - 2)) < dens
     vals = rng.standard_normal((n, n - 2))
     rows, cols = np.nonzero(mask)
-    entries = vals[rows, cols]
-    r_list = [rows]
-    c_list = [cols + 1]
-    v_list = [entries]
-    if beta != 0:
-        r_list.append(np.array([0]))
-        c_list.append(np.array([0]))
-        v_list.append(np.array([beta], dtype=float))
-    # keep values real so sign flips cannot introduce -0.0 imaginary parts
-    return (np.concatenate(r_list), np.concatenate(c_list),
-            np.concatenate(v_list).astype(np.float64))
+    # the (0, 0) entry goes in whatever beta is: SparseMatrix.from_coo drops
+    # it when beta is 0, as it drops every exact zero.  Values stay real so
+    # sign flips cannot introduce -0.0 imaginary parts.
+    return (np.append(rows, 0), np.append(cols + 1, 0),
+            np.append(vals[rows, cols], float(beta)))
 
 
 def gen_quadratic_companion(n=500, beta0=-1.0, beta1=1.0, beta2=0.0, seed=1):

@@ -19,10 +19,11 @@ of M.
 When the factor fills in, the sparse loop gives up and the factorization
 restarts from column 0 in a dense blocked right-looking kernel with the
 same pivot, tie-break and breakdown rules (the sparse-to-dense switch of
-UMFPACK and CHOLMOD).  Each panel of ``_PANEL`` columns is a column loop,
-one triangular solve for its U rows and one product for the trailing
-rows, as in LAPACK's ``getrf``.  ``RankLU.path`` records which kernel
-produced the factor; no option chooses it.
+UMFPACK and CHOLMOD).  Every panel of ``_PANEL`` columns, the last one
+included, is a column loop, one triangular solve for its U rows and one
+product for the trailing rows (on zero columns after the last panel), as
+in LAPACK's ``getrf``.  ``RankLU.path`` records which kernel produced the
+factor; no option chooses it.
 
 The solves run through a plan built once per factor, on the first solve.
 ``diag(pivots) + U == (I + U diag(pivots)^-1) diag(pivots)``, so both
@@ -33,7 +34,7 @@ block with no entry is skipped, as is every block of an empty U.  A
 solve is then two matrix products per block, ``x = inv @ y[j0:j1]`` and
 ``y[rows] -= panel @ x``: forward over L, backward over U, and one
 division by the pivots; ``solve_adjoint`` runs the same plan transposed.
-A vector is a block of one column.
+A vector is a block of one column; a block of zero columns runs the same plan.
 
 Explicit inverses add an error that grows with the condition of the
 diagonal blocks (Du Croz and Higham, IMA J. Numer. Anal. 12, 1992;
@@ -350,11 +351,10 @@ def _factor_dense(M, alpha, tau):
                     src_of_pos[[t, p]] = src_of_pos[[p, t]]
                 A[t + 1:n_cur, t] /= A[t, t]
                 A[t + 1:n_cur, t + 1:k1] -= np.outer(A[t + 1:n_cur, t], A[t, t + 1:k1])
-        if k1 < m:
-            # U12 rows: one solve with the panel's unit-lower L11
-            L11 = np.tril(A[k0:k1, k0:k1], -1) + np.eye(k1 - k0)
-            A[k0:k1, k1:] = np.linalg.solve(L11, A[k0:k1, k1:])
-            A[k1:n_cur, k1:] -= A[k1:n_cur, k0:k1] @ A[k0:k1, k1:]
+        # U12 rows: one solve with the panel's unit-lower L11 (none after the last panel)
+        L11 = np.tril(A[k0:k1, k0:k1], -1) + np.eye(k1 - k0)
+        A[k0:k1, k1:] = np.linalg.solve(L11, A[k0:k1, k1:])
+        A[k1:n_cur, k1:] -= A[k1:n_cur, k0:k1] @ A[k0:k1, k1:]
 
     A = A[:n_cur]
     pos = np.arange(n_cur)[:, None]

@@ -46,13 +46,12 @@ class SparseMatrix:
             if row_idx.min() < 0 or row_idx.max() >= nrows:
                 raise DimensionMismatch("row index out of range")
             # strictly increasing inside each column
-            if row_idx.size > 1:
-                same_col = np.ones(row_idx.size - 1, dtype=bool)
-                b = col_ptr[1:-1]
-                b = b[(b > 0) & (b < row_idx.size)]
-                same_col[b - 1] = False  # pairs straddling a column boundary
-                if np.any(np.diff(row_idx)[same_col] <= 0):
-                    raise DimensionMismatch("row indices must increase strictly within columns")
+            same_col = np.ones(row_idx.size - 1, dtype=bool)
+            b = col_ptr[1:-1]
+            b = b[(b > 0) & (b < row_idx.size)]
+            same_col[b - 1] = False  # pairs straddling a column boundary
+            if np.any(np.diff(row_idx)[same_col] <= 0):
+                raise DimensionMismatch("row indices must increase strictly within columns")
         self.nrows = int(nrows)
         self.ncols = int(ncols)
         for arr in (col_ptr, row_idx, values):
@@ -158,10 +157,9 @@ def spmv(M, x):
     """
     x = operand(x, M.ncols, "spmv")
     y = np.zeros((M.nrows,) + x.shape[1:], dtype=np.complex128)
-    if M.nnz:
-        counts = np.diff(M.col_ptr)
-        for xj, yj in zip(x.reshape(M.ncols, -1).T, y.reshape(M.nrows, -1).T):
-            np.add.at(yj, M.row_idx, M.values * np.repeat(xj, counts))
+    counts = np.diff(M.col_ptr)
+    for xj, yj in zip(np.atleast_2d(x.T), np.atleast_2d(y.T)):  # column by column
+        np.add.at(yj, M.row_idx, M.values * np.repeat(xj, counts))
     return y
 
 
@@ -170,11 +168,10 @@ def spmv_adjoint(M, y):
     block, without materializing M*."""
     y = operand(y, M.nrows, "spmv_adjoint")
     out = np.zeros((M.ncols,) + y.shape[1:], dtype=np.complex128)
-    if M.nnz:
-        conj = np.conj(M.values)
-        cols = np.repeat(np.arange(M.ncols, dtype=np.int64), np.diff(M.col_ptr))
-        for yj, oj in zip(y.reshape(M.nrows, -1).T, out.reshape(M.ncols, -1).T):
-            np.add.at(oj, cols, conj * yj[M.row_idx])
+    conj = np.conj(M.values)
+    cols = np.repeat(np.arange(M.ncols, dtype=np.int64), np.diff(M.col_ptr))
+    for yj, oj in zip(np.atleast_2d(y.T), np.atleast_2d(out.T)):  # column by column
+        np.add.at(oj, cols, conj * yj[M.row_idx])
     return out
 
 
@@ -183,8 +180,6 @@ def norm_estimate(M):
     solver's relative residuals.  The border scale is :func:`two_norm_estimate`."""
     if M.nrows == 0 or M.ncols == 0:
         raise DimensionMismatch("norm_estimate of an empty-dimension matrix")
-    if M.nnz == 0:
-        return 0.0
     sums = np.zeros(M.ncols)
     cols = np.repeat(np.arange(M.ncols, dtype=np.int64), np.diff(M.col_ptr))
     np.add.at(sums, cols, np.abs(M.values))
@@ -204,8 +199,6 @@ def two_norm_estimate(M):
     """
     if M.nrows == 0 or M.ncols == 0:
         raise DimensionMismatch("two_norm_estimate of an empty-dimension matrix")
-    if M.nnz == 0:
-        return 0.0
     rng = np.random.default_rng(0x2F0C)
     x = rng.standard_normal(M.ncols)
     x /= np.linalg.norm(x)

@@ -187,9 +187,8 @@ def _purify_finite(S, X, infinite):
     finite; a column that lies in the nullspace of S comes back unchanged
     and marks its eigenvalue infinite.  Updates X and ``infinite`` in place."""
     cols = np.flatnonzero(~infinite)
-    if cols.size:
-        X[:, cols], null = _arnoldi.purify(S, X[:, cols])
-        infinite[cols[null]] = True
+    X[:, cols], null = _arnoldi.purify(S, X[:, cols])
+    infinite[cols[null]] = True
 
 
 def _triplets(cfg, lam, infinite, X, xb, res_x, Y=None, yb=None, res_y=None):

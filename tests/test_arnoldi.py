@@ -333,3 +333,10 @@ def test_purify_pure_nullspace_mask():
     np.testing.assert_allclose(Y[:, 0], purify(S, e1)[0], rtol=0, atol=1e-15)
     assert 1.0 - abs(np.vdot(Y[:, 0], e1)) <= 1e-12
     np.testing.assert_array_equal(X, np.column_stack([e1, null]))  # input not written
+
+
+@pytest.mark.parametrize("direction", ["forward", "transposed_pencil"])
+def test_purify_block_of_zero_columns(direction):
+    bp, _ = toy_setup()
+    Y, null = purify(ShiftInvertOperator(bp, direction), np.zeros((bp.size, 0), dtype=complex))
+    assert Y.shape == (bp.size, 0) and null.shape == (0,)

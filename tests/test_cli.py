@@ -178,6 +178,16 @@ def test_solve_numerical_failure_exit_2(capsys):
     assert "numerical failure" in err and "seminorm kernel" in err
 
 
+def test_solve_pencil_with_no_finite_eigenvalue_exit_2(tmp_path, capsys):
+    # A = I3, B = 0: every eigenvalue is infinite, so the operator is zero
+    a, b = tmp_path / "A.mtx", tmp_path / "B.mtx"
+    write_matrix_market(a, SparseMatrix.identity(3))
+    write_matrix_market(b, SparseMatrix.zeros(3, 3))
+    code, _, err = run(capsys, "solve", "--a", str(a), "--b", str(b))
+    assert code == 2
+    assert "numerical failure: start vector lies in the seminorm kernel" in err
+
+
 def test_rank_sweep_table(capsys):
     code, out, _ = run(capsys, "rank", "--generate", "tolerance",
                        "--taus", "2.2e-15,1e-5,0.2")

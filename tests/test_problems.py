@@ -100,6 +100,31 @@ def test_quadratic_beta_variants():
         problems.gen_quadratic_companion(n=2)
 
 
+@pytest.mark.parametrize("betas", [(0.0, 1.0, -1.0), (-1.0, 0.0, 1.0), (-1.0, 1.0, 0.0)],
+                         ids=["beta0-zero", "beta1-zero", "beta2-zero"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_quadratic_matches_dense_definition(betas, seed):
+    """``A = [[A1, A0], [I, 0]]`` and ``B = [[-A2, 0], [0, I]]`` with
+    ``Ai = [beta_i e1 | R_i | 0]`` built densely from the docstring: R_i
+    the seeded Gaussian of density 5/n, drawn for A0, A1 and A2 in turn,
+    each as a mask and then its values.  A zero beta_i leaves no entry."""
+    n = 12
+    gp = problems.gen_quadratic_companion(n=n, beta0=betas[0], beta1=betas[1],
+                                          beta2=betas[2], seed=seed)
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for beta in betas:
+        mask = rng.random((n, n - 2)) < 5.0 / n
+        R = np.where(mask, rng.standard_normal((n, n - 2)), 0.0)
+        blocks.append(np.hstack((beta * np.eye(n, 1), R, np.zeros((n, 1)))))
+    A0, A1, A2 = blocks
+    I, O = np.eye(n), np.zeros((n, n))
+    np.testing.assert_array_equal(gp.pencil.A.to_dense(), np.block([[A1, A0], [I, O]]))
+    np.testing.assert_array_equal(gp.pencil.B.to_dense(), np.block([[-A2, O], [O, I]]))
+    for M in (gp.pencil.A, gp.pencil.B):
+        assert np.all(M.values != 0.0)
+
+
 # -- rectangular -------------------------------------------------------------------------
 
 def test_rectangular_truth_structure():

@@ -184,6 +184,8 @@ def _kernel_cases():
     for n in (40, 250):
         q = problems.gen_quadratic_companion(n=n).pencil
         yield pytest.param(add_scaled(q.A, -1.1, q.B), 1e-12, id=f"quadratic{n}")
+    r = problems.gen_rectangular(n=200).pencil  # banded and tall: the sparse path's workload
+    yield pytest.param(add_scaled(r.A, -0.9, r.B), 1e-12, id="rectangular200")
     rng = np.random.default_rng(7)
     for nrows, ncols, rank in ((70, 70, 50), (90, 60, 40), (40, 200, 30)):
         yield pytest.param(random_rank_matrix(rng, nrows, ncols, rank), 1e-10,
@@ -240,6 +242,7 @@ _FACTOR_DIGESTS = {
     "order10-perturbed-tau0.2": ("4de5d1dbafec9be6", "4de5d1dbafec9be6"),
     "quadratic40": ("d216d96aa3c0e948", "99f2177093fd969d"),
     "quadratic250": ("a4dd46026042e384", "418d5c4f1501bd0d"),
+    "rectangular200": ("18d6bd3bd1ab15f9", "18d6bd3bd1ab15f9"),
     "random70x70-rank50": ("86723fb3309c8480", "5c6d6966834a8deb"),
     "random90x60-rank40": ("91914d88dca43850", "91914d88dca43850"),
     "random40x200-rank30": ("5c95c1a561b79d02", "ecdacef28ac00794"),
@@ -330,6 +333,16 @@ def test_solve_toy_vs_dense_oracle():
 
 def _pencil_at_shift(gen, sigma):
     return add_scaled(gen.pencil.A, -sigma, gen.pencil.B)
+
+
+@pytest.mark.parametrize("kernel", ["sparse", "dense"])
+def test_solves_take_a_block_of_zero_columns(monkeypatch, kernel):
+    """Both solves run a block of zero columns through the general plan,
+    the plan of an empty U (rectangular) included."""
+    for gen, sigma in ((problems.gen_kronecker_toy(), 0.5), (problems.gen_rectangular(n=200), 0.9)):
+        F = _factor_with(monkeypatch, kernel, _pencil_at_shift(gen, sigma), 1e-12)
+        for solve in (rank_lu.solve, rank_lu.solve_adjoint):
+            assert solve(F, np.zeros((F.n_final, 0))).shape == (F.n_final, 0)
 
 
 def test_solve_round_trip_and_adjoint_identity(rng):

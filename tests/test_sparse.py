@@ -17,6 +17,11 @@ def test_from_coo_sums_duplicates_and_drops_zeros():
     assert M.to_dense()[0, 0] == 3.0
 
 
+def test_one_entry_matrix_constructs():
+    M = SparseMatrix(3, 2, [0, 0, 1], [2], [5.0])
+    assert M.nnz == 1 and M.to_dense()[2, 1] == 5.0
+
+
 def test_invariants_rejected():
     with pytest.raises(DimensionMismatch):
         SparseMatrix(2, 2, [0, 2, 2], [0, 0], [1.0, 1.0])  # repeated row in col 0
@@ -76,6 +81,26 @@ def test_spmv_identity():
 def test_spmv_zero_matrix():
     Z = SparseMatrix.zeros(2, 2)
     np.testing.assert_array_equal(spmv(Z, [5, 7]), [0, 0])
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 4), (3, 0), (0, 3)])
+def test_zero_matrix_products_are_zeros(shape):
+    """A matrix with no entry, one with an empty dimension included, runs
+    the general product path: zeros for a vector, a block and a block of
+    zero columns."""
+    n, m = shape
+    Z = SparseMatrix.zeros(n, m)
+    for k in ((), (2,), (0,)):
+        y = spmv(Z, np.ones((m,) + k))
+        assert y.shape == (n,) + k and not y.any()
+        x = spmv_adjoint(Z, np.ones((n,) + k))
+        assert x.shape == (m,) + k and not x.any()
+
+
+def test_spmv_block_of_zero_columns(rng):
+    M = random_sparse(rng, 7, 5, density=0.4)
+    assert spmv(M, np.ones((5, 0))).shape == (7, 0)
+    assert spmv_adjoint(M, np.ones((7, 0))).shape == (5, 0)
 
 
 def test_spmv_small_dense_oracle():
@@ -169,6 +194,11 @@ def test_two_norm_estimate_close_to_spectral(rng):
         est = two_norm_estimate(M)
         true = np.linalg.norm(M.to_dense(), 2)
         assert 0.5 * true <= est <= true * (1 + 1e-8)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 4)])
+def test_two_norm_estimate_of_zero_matrix(shape):
+    assert two_norm_estimate(SparseMatrix.zeros(*shape)) == 0.0
 
 
 # -- helpers -------------------------------------------------------------------

@@ -324,3 +324,30 @@ def test_infinite_rows_render_as_inf(monkeypatch, capsys):
     assert cli.main(["solve", "--generate", "kronecker_toy", "--format", "csv"]) == 0
     last = capsys.readouterr().out.splitlines()[-1].split(",")
     assert last[:3] == ["inf", "", "True"] and last[-2] == "Infinite"
+
+
+def test_purify_finite_with_every_column_infinite():
+    """No finite column: one purification of an empty block, which leaves
+    X and ``infinite`` as they were."""
+    bp = singpencil.regularize(problems.gen_kronecker_toy().pencil, 0.0, 1e-12)
+    X = np.arange(10, dtype=complex).reshape(5, 2)
+    infinite = np.ones(2, dtype=bool)
+    two_sided._purify_finite(singpencil.ShiftInvertOperator(bp), X, infinite)
+    np.testing.assert_array_equal(X, np.arange(10).reshape(5, 2))
+    np.testing.assert_array_equal(infinite, [True, True])
+
+
+@pytest.mark.parametrize("sigma", [1.0, 1.0 + 1e-12, 1.0 - 1e-12])
+def test_shift_on_the_toy_eigenvalue_raises(sigma):
+    """At a shift on the toy's only eigenvalue both of the Arnoldi run's
+    start vectors break down in the seminorm kernel at the first step, and
+    the solve raises instead of returning a wrong answer."""
+    with pytest.raises(singpencil.SingPencilError, match="trapped in the seminorm kernel twice"):
+        solve_singular_full(problems.gen_kronecker_toy().pencil, SolverConfig(sigma=sigma))
+
+
+@pytest.mark.parametrize("sigma", [1.0 + 2e-12, 1.0 + 1e-11])
+def test_shift_beside_the_toy_eigenvalue_finds_it(sigma):
+    res = solve_singular_full(problems.gen_kronecker_toy().pencil, SolverConfig(sigma=sigma))
+    trues = [t.lam for t in res.triplets if t.label == "True"]
+    assert len(trues) == 1 and abs(trues[0] - 1.0) <= 1e-10
