@@ -32,37 +32,26 @@ def qr(M):
     return Q * phase, np.triu(np.conj(phase)[:, None] * R)
 
 
-def _sort_keys(values):
-    # keys are quantized so rounding-level modulus ties still sort by the
-    # documented tie break
-    scale = np.abs(values).max() if values.size else 1.0
-    if scale == 0.0:
-        scale = 1.0
-    q = lambda x: np.round(x / scale, 12)
-    return np.stack((-q(values.imag), -q(values.real), -q(np.abs(values))))
-
-
-def _sort_order(values):
-    # descending modulus, ties by descending real then descending imag
-    return np.lexsort(_sort_keys(values))
-
-
-def _copy_index(values):
-    """Position of each entry within its run of equal quantized sort keys
-    (``values`` already sorted): 0 for the first copy, 1 for the second..."""
-    keys = _sort_keys(values)
-    copy = np.zeros(values.size, dtype=np.int64)
-    for i in range(1, values.size):
-        if np.array_equal(keys[:, i], keys[:, i - 1]):
-            copy[i] = copy[i - 1] + 1
-    return copy
-
-
-def _eig(M, what):
+def _sorted_eig(M, what):
+    """``(theta, Z, copy)``: the eigenvalues of a square M by descending
+    modulus, ties by descending real then imaginary part, their unit-norm
+    eigenvector columns, and each theta's copy index (0 for the first of a
+    run of equal sort keys, 1 for the second...).  The keys are quantized
+    to 12 digits of ``max|theta|`` (of 1 when that is 0), so rounding-level
+    ties sort by the tie break and count as copies.  A LAPACK failure
+    raises :class:`ConvergenceError` naming ``what``."""
     try:
-        return np.linalg.eig(M)
+        theta, Z = np.linalg.eig(M)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceError(f"{what}: eigenvalue iteration did not converge") from exc
+    scale = np.abs(theta).max(initial=0.0) or 1.0
+    keys = np.round(np.stack((-theta.imag, -theta.real, -np.abs(theta))) / scale, 12)
+    order = np.lexsort(keys)
+    keys = keys[:, order]
+    copy = np.zeros(theta.size, dtype=np.int64)
+    for i in range(1, theta.size):
+        copy[i] = copy[i - 1] + 1 if np.array_equal(keys[:, i], keys[:, i - 1]) else 0
+    return theta[order], _unit_columns(Z[:, order]), copy
 
 
 def _unit_columns(V):
@@ -86,9 +75,7 @@ def hessenberg_eig(H):
         raise DimensionMismatch("hessenberg_eig expects a square matrix")
     if np.any(np.tril(H, -2) != 0.0):
         raise DimensionMismatch("matrix is not upper Hessenberg")
-    theta, Z = _eig(H, "hessenberg_eig")
-    order = _sort_order(theta)
-    return theta[order], _unit_columns(Z[:, order])
+    return _sorted_eig(H, "hessenberg_eig")[:2]
 
 
 def _pencil_eigenvalues(theta, scale, sigma):
@@ -125,17 +112,15 @@ def small_generalized_eig(Ah, Bh, sigma=0.0):
     if np.linalg.cond(Ah) > 1e15:
         raise ConvergenceError("projected matrix Ah is numerically singular")
     T = np.linalg.solve(Ah, Bh)
-    theta, Z = _eig(T, "small_generalized_eig")
-    order = _sort_order(theta)
-    theta, Z = theta[order], Z[:, order]
+    theta, Z, copy = _sorted_eig(T, "small_generalized_eig")
     U, s, _ = np.linalg.svd(Bh - theta[:, None, None] * Ah)
     tol = 1e-12 * (np.linalg.norm(Bh) + np.abs(theta) * np.linalg.norm(Ah))
     null_dim = np.maximum((s <= tol[:, None]).sum(axis=1), 1)
-    col = -1 - np.minimum(_copy_index(theta), null_dim - 1)
+    col = -1 - np.minimum(copy, null_dim - 1)
     Y = U[np.arange(theta.size), :, col].T
 
     lam, infinite = _pencil_eigenvalues(theta, np.linalg.norm(T, 2), sigma)
-    return lam, _unit_columns(Z), Y, infinite
+    return lam, Z, Y, infinite
 
 
 def dense_rank(M, tol):

@@ -319,7 +319,8 @@ def _factor_dense(M, alpha, tau):
     threshold = tau * alpha
     # rows are current positions; the bordered size reaches max(n, m)
     A = np.zeros((max(n, m) + _PANEL, m), dtype=np.complex128)
-    A[M.row_idx, np.repeat(np.arange(m), np.diff(M.col_ptr))] = M.values
+    rows, cols, vals = M.coo()
+    A[rows, cols] = vals
     src_of_pos = np.arange(n + m, dtype=np.int64)
     breakdown_steps, breakdown_pivots = [], []
     n_cur = n

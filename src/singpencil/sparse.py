@@ -157,9 +157,9 @@ def spmv(M, x):
     """
     x = operand(x, M.ncols, "spmv")
     y = np.zeros((M.nrows,) + x.shape[1:], dtype=np.complex128)
-    counts = np.diff(M.col_ptr)
+    rows, cols, vals = M.coo()
     for xj, yj in zip(np.atleast_2d(x.T), np.atleast_2d(y.T)):  # column by column
-        np.add.at(yj, M.row_idx, M.values * np.repeat(xj, counts))
+        np.add.at(yj, rows, vals * xj[cols])
     return y
 
 
@@ -168,10 +168,10 @@ def spmv_adjoint(M, y):
     block, without materializing M*."""
     y = operand(y, M.nrows, "spmv_adjoint")
     out = np.zeros((M.ncols,) + y.shape[1:], dtype=np.complex128)
-    conj = np.conj(M.values)
-    cols = np.repeat(np.arange(M.ncols, dtype=np.int64), np.diff(M.col_ptr))
+    rows, cols, vals = M.coo()
+    conj = np.conj(vals)
     for yj, oj in zip(np.atleast_2d(y.T), np.atleast_2d(out.T)):  # column by column
-        np.add.at(oj, cols, conj * yj[M.row_idx])
+        np.add.at(oj, cols, conj * yj[rows])
     return out
 
 
@@ -181,8 +181,8 @@ def norm_estimate(M):
     if M.nrows == 0 or M.ncols == 0:
         raise DimensionMismatch("norm_estimate of an empty-dimension matrix")
     sums = np.zeros(M.ncols)
-    cols = np.repeat(np.arange(M.ncols, dtype=np.int64), np.diff(M.col_ptr))
-    np.add.at(sums, cols, np.abs(M.values))
+    _, cols, vals = M.coo()
+    np.add.at(sums, cols, np.abs(vals))
     return float(sums.max())
 
 

@@ -10,6 +10,7 @@ border only.
 """
 
 import json
+import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -33,10 +34,10 @@ class SolverConfig:
     ``krylov_steps`` counts Arnoldi iterations before restarting;
     ``implicit_restarts`` zero-shift restarts each shorten the space by one
     and filter infinite-eigenvalue components.  ``classify_threshold`` is
-    the border-norm cut between true and spurious on unit vectors.  An
-    out-of-range value (a non-finite ``sigma``, a ``tau`` outside
-    ``[0, 1)``, a negative ``seed``, a ``krylov_steps`` that is not an
-    integer, ...) raises ``ValueError``.
+    the border-norm cut between true and spurious on unit vectors.  A
+    numpy number is stored as the Python one.  A ``bool``, a non-finite
+    ``sigma``, a ``tau`` outside ``[0, 1)``, a negative ``seed``, a
+    non-integer ``krylov_steps``, ... raises ``ValueError``.
     """
 
     sigma: complex = 0.0
@@ -52,7 +53,13 @@ class SolverConfig:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer; got {value!r}")
             object.__setattr__(self, name, int(value))  # a numpy integer is not JSON
-        if not np.isfinite(complex(self.sigma)):
+        for name, abc, cast in (("sigma", numbers.Complex, complex), ("tau", numbers.Real, float),
+                                ("classify_threshold", numbers.Real, float)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, abc):
+                raise ValueError(f"{name} must be a {abc.__name__.lower()} number; got {value!r}")
+            object.__setattr__(self, name, cast(value))  # nor is a numpy float or complex
+        if not np.isfinite(self.sigma):
             raise ValueError(f"sigma must be finite; got {self.sigma}")
         if not (0.0 <= self.tau < 1.0):
             raise ValueError(f"tau must lie in [0, 1); got {self.tau}")

@@ -1,5 +1,10 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +82,19 @@ def test_config_validation():
             SolverConfig(**bad)
     cfg = SolverConfig(krylov_steps=np.int64(5), implicit_restarts=np.int32(1), seed=np.uint8(3))
     assert json.dumps([cfg.krylov_steps, cfg.implicit_restarts, cfg.seed]) == "[5, 1, 3]"
+
+
+def test_config_stores_plain_numbers():
+    """A numpy float is stored as a Python number, so the result's JSON
+    holds it and validates; a bool is not taken for a number."""
+    cfg = SolverConfig(sigma=np.float64(0.0), tau=np.float32(1e-12), krylov_steps=5,
+                       classify_threshold=np.float16(1e-3))
+    assert (type(cfg.sigma), type(cfg.tau), type(cfg.classify_threshold)) == (complex, float, float)
+    res = solve_singular_full(problems.gen_kronecker_toy().pencil, cfg)
+    schema_validate(json.loads(result_to_json(res)), _schema())
+    for bad in ({"sigma": True}, {"tau": False}, {"classify_threshold": np.True_}):
+        with pytest.raises(ValueError, match="must be a .* number"):
+            SolverConfig(**bad)
 
 
 # -- end-to-end on analytic problems ---------------------------------------------------
@@ -351,3 +369,99 @@ def test_shift_beside_the_toy_eigenvalue_finds_it(sigma):
     res = solve_singular_full(problems.gen_kronecker_toy().pencil, SolverConfig(sigma=sigma))
     trues = [t.lam for t in res.triplets if t.label == "True"]
     assert len(trues) == 1 and abs(trues[0] - 1.0) <= 1e-10
+
+
+# -- pinned answers ---------------------------------------------------------------------
+
+
+def _transposed(p):
+    # the generator's matrices are real, so the transpose is the adjoint
+    return Pencil(*(SparseMatrix.from_dense(M.to_dense().T) for M in (p.A, p.B)))
+
+
+def _answer_cases():
+    """(id, pencil factory, config), each with the benchmark's settings."""
+    def tol(tau, steps):
+        return SolverConfig(sigma=0.0, tau=tau, krylov_steps=steps, implicit_restarts=1, seed=1)
+
+    def quad(seed):
+        return SolverConfig(sigma=1.1, tau=1e-12, krylov_steps=20, implicit_restarts=1,
+                            seed=seed)
+
+    rect = SolverConfig(sigma=0.9, tau=1e-12, krylov_steps=10, implicit_restarts=2, seed=1)
+    pert = lambda: problems.gen_tolerance_pencil(perturbed=True).pencil
+    return [
+        ("toy", lambda: problems.gen_kronecker_toy().pencil, tol(1e-12, 5)),
+        ("clean-tau2.2e-15", lambda: problems.gen_tolerance_pencil().pencil, tol(2.2e-15, 11)),
+        ("perturbed-tau1e-16", pert, tol(1e-16, 10)),
+        ("perturbed-tau1e-10", pert, tol(1e-10, 11)),
+        ("quadratic40-seed1", lambda: problems.gen_quadratic_companion(n=40, seed=1).pencil,
+         quad(1)),
+        ("quadratic40-seed2", lambda: problems.gen_quadratic_companion(n=40, seed=2).pencil,
+         quad(2)),
+        ("quadratic100-seed1", lambda: problems.gen_quadratic_companion(n=100, seed=1).pencil,
+         quad(1)),
+        ("rectangular200", lambda: problems.gen_rectangular(n=200).pencil, rect),
+        ("wide200", lambda: _transposed(problems.gen_rectangular(n=200).pencil), rect),
+    ]
+
+
+#: :func:`_answer_digest` per case of :func:`_answer_cases`, with a BLAS
+#: that runs one thread, as the benchmark's does.  Recorded on x86-64 with
+#: numpy 2 and OpenBLAS 0.3: the answers pass through LAPACK and BLAS
+#: products, so a BLAS that rounds differently changes them.
+_ANSWER_DIGESTS = {
+    "toy": "639c6c2e61bf262b",
+    "clean-tau2.2e-15": "9af498616e425f60",
+    "perturbed-tau1e-16": "478077963c2bde35",
+    "perturbed-tau1e-10": "166c778ae06af355",
+    "quadratic40-seed1": "606c0079a474abd3",
+    "quadratic40-seed2": "b95cafce1e8c4f95",
+    "quadratic100-seed1": "a286cf1cd28ee823",
+    "rectangular200": "6b81a9f6316444b6",
+    "wide200": "46180a41bd76ba18",
+}
+
+
+def _answer_digest(res):
+    """Short SHA-256 of a solve's answer: the border sizes and rank, then
+    each triplet in output order (label, flags, eigenvalue, x, y, both
+    border norms, both residuals)."""
+    h = hashlib.sha256()
+    bp = res.bordered
+    h.update(repr((bp.V.ncols, bp.W.ncols, bp.normal_rank)).encode())
+    for t in res.triplets:
+        h.update(repr((t.label, t.flags, t.lam, t.x_border_norm, t.y_border_norm,
+                       t.residual_right, t.residual_left)).encode())
+        h.update(t.x.tobytes())
+        h.update(b"-" if t.y is None else t.y.tobytes())
+    return h.hexdigest()[:16]
+
+
+def answer_digests():
+    return {cid: _answer_digest(solve_singular_full(make(), cfg))
+            for cid, make, cfg in _answer_cases()}
+
+
+@pytest.fixture(scope="module")
+def single_thread_digests():
+    """:func:`answer_digests` from a fresh process whose BLAS runs one
+    thread: a threaded BLAS splits the projection's larger products in
+    another order, which rounds them differently."""
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(tests.parent / "src"), os.environ.get("PYTHONPATH")]))
+    one = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    code = "import json, test_two_sided as t; print(json.dumps(t.answer_digests()))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=tests, env={**os.environ, **one, "PYTHONPATH": path},
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("cid", [c[0] for c in _answer_cases()])
+def test_answers_pinned(single_thread_digests, cid):
+    """The pipeline's answers, bit for bit, on the benchmark's settings.
+    The digests depend on the BLAS's rounding (see :data:`_ANSWER_DIGESTS`);
+    a change that moves an answer records them again in CHANGES.md."""
+    assert single_thread_digests[cid] == _ANSWER_DIGESTS[cid]
